@@ -15,9 +15,7 @@
 //	spe campaign [-workers N] [-checkpoint path] [-variants N]
 //	             [-versions list] [-schedule fifo|coverage|region]
 //	             [-target-shard-ms N] [-curve] [-reduce] [-inter]
-//	             [-oracle tree|bytecode] [-dispatch threaded|switch]
-//	             [-oracle-batch=false] [-backend-dispatch threaded|switch]
-//	             [-backend-batch=false] [-paranoid] [-render-path]
+//	             [-oracle tree|bytecode] [-paranoid] [-render-path]
 //	             [-backend-reuse=false] [-status-addr host:port]
 //	             [-progress 30s] [-cpuprofile path] [-memprofile path]
 //	             [-serve host:port | -connect host:port]
@@ -44,21 +42,6 @@
 //	                                 machines, skeleton-keyed compiler IR
 //	                                 templates) — -oracle=tree restores the
 //	                                 tree-walking reference interpreter,
-//	                                 -dispatch=switch restores the bytecode
-//	                                 VM's monolithic opcode switch (the
-//	                                 default threaded engine dispatches
-//	                                 through a fused, specialized handler
-//	                                 table), -oracle-batch=false disables
-//	                                 batched shard execution (one oracle
-//	                                 VM checkout per shard instead of
-//	                                 per variant), -backend-dispatch=switch
-//	                                 restores the compiled-binary VM's
-//	                                 monolithic opcode switch (the default
-//	                                 threaded engine dispatches the fused
-//	                                 minicc IR through a handler table),
-//	                                 -backend-batch=false disables the
-//	                                 batched per-config compiler walk
-//	                                 inside batched shards,
 //	                                 -paranoid cross-checks every
 //	                                 instantiation against a fresh
 //	                                 render+reparse, every patched IR
@@ -218,10 +201,6 @@ func campaignMain(args []string) error {
 	reduce := fs.Bool("reduce", false, "delta-debug each finding's sample test case")
 	inter := fs.Bool("inter", false, "inter-procedural granularity")
 	oracle := fs.String("oracle", campaign.OracleBytecode, "reference oracle: bytecode (skeleton-compiled UB-checking bytecode VM) or tree (historical tree-walking interpreter); reports are byte-identical either way")
-	dispatch := fs.String("dispatch", campaign.DispatchThreaded, "bytecode oracle instruction dispatch: threaded (fused, specialized handler table) or switch (monolithic opcode switch); reports are byte-identical either way")
-	oracleBatch := fs.Bool("oracle-batch", true, "batch each shard's oracle runs on one checked-out VM, re-patching moved holes between runs (same report; disable as baseline or to bisect)")
-	backendDispatch := fs.String("backend-dispatch", campaign.BackendDispatchThreaded, "compiled-binary VM instruction dispatch: threaded (fused handler table) or switch (monolithic opcode switch); reports are byte-identical either way")
-	backendBatch := fs.Bool("backend-batch", true, "inside a batched shard, drain each compiler configuration over all clean variants through one batched walk (same report; disable as baseline or to bisect)")
 	paranoid := fs.Bool("paranoid", false, "cross-check every AST-instantiated variant against a fresh render+reparse, every patched IR template against a fresh lowering, and (with -oracle=bytecode) every bytecode oracle verdict against the tree-walking interpreter (debug mode; slower)")
 	renderPath := fs.Bool("render-path", false, "use the historical render+reparse pipeline instead of AST-resident instantiation (baseline; same report)")
 	backendReuse := fs.Bool("backend-reuse", true, "reuse pooled backend state across variants: interpreter machine pooling and skeleton-keyed compiler IR templates (same report; disable as baseline or to bisect)")
@@ -349,10 +328,6 @@ func campaignMain(args []string) error {
 		TargetShardMillis:  *targetShardMs,
 		CoverageCurve:      *curve,
 		Oracle:             *oracle,
-		Dispatch:           *dispatch,
-		NoOracleBatch:      !*oracleBatch,
-		BackendDispatch:    *backendDispatch,
-		NoBackendBatch:     !*backendBatch,
 		Paranoid:           *paranoid,
 		ForceRenderPath:    *renderPath,
 		NoBackendReuse:     !*backendReuse,

@@ -6,9 +6,7 @@
 //
 //	spebench [-quick] [-workers N] [-checkpoint path]
 //	         [-schedule fifo|coverage|region] [-target-shard-ms N]
-//	         [-oracle tree|bytecode] [-dispatch threaded|switch]
-//	         [-oracle-batch=false] [-backend-dispatch threaded|switch]
-//	         [-backend-batch=false] [-paranoid] [-bench-json path]
+//	         [-oracle tree|bytecode] [-paranoid] [-bench-json path]
 //	         [-cpuprofile path] [-memprofile path]
 //	         [-status-addr host:port] [-progress 30s] [experiment...]
 //
@@ -23,16 +21,7 @@
 // -oracle selects the campaign reference engine (bytecode, the default
 // skeleton-compiled UB-checking VM, or tree, the historical tree-walking
 // interpreter; tables are identical either way — the oracle experiment
-// measures both regardless of the flag). -dispatch selects the bytecode
-// VM's instruction dispatch engine (threaded, the default fused and
-// specialized handler table, or switch, the monolithic opcode switch
-// baseline) and -oracle-batch=false disables batched shard execution;
-// tables are identical under any combination, and the oracle experiment
-// measures both axes regardless of the flags. -backend-dispatch selects
-// the compiled-binary minicc VM's dispatch engine the same way, and
-// -backend-batch=false disables the batched per-config compiler walk
-// inside batched shards; tables are identical under any combination, and
-// the backend experiment measures both axes regardless of the flags.
+// measures both regardless of the flag).
 // -paranoid cross-checks the
 // AST-resident instantiation per variant (render+reparse+binding
 // assertion; for the backend experiment it also checks every patched IR
@@ -91,10 +80,6 @@ func benchMain() int {
 	schedule := flag.String("schedule", "", "campaign shard dispatch policy: fifo (default), coverage, or region; tables are identical either way")
 	targetShardMs := flag.Int("target-shard-ms", 0, "adaptive campaign shard sizing toward this duration (0 = fixed shards)")
 	oracle := flag.String("oracle", "", "campaign reference oracle: bytecode (default) or tree; tables are identical either way")
-	dispatch := flag.String("dispatch", "", "bytecode oracle instruction dispatch: threaded (default) or switch; tables are identical either way")
-	oracleBatch := flag.Bool("oracle-batch", true, "batch each campaign shard's oracle runs on one checked-out VM (disable as baseline; tables are identical either way)")
-	backendDispatch := flag.String("backend-dispatch", "", "compiled-binary minicc VM instruction dispatch: threaded (default) or switch; tables are identical either way")
-	backendBatch := flag.Bool("backend-batch", true, "drain each compiler configuration over a batched shard's clean variants in one walk (disable as baseline; tables are identical either way)")
 	paranoid := flag.Bool("paranoid", false, "cross-check the AST-resident instantiation per variant (render+reparse+binding assertion)")
 	benchJSON := flag.String("bench-json", "", "write the variants experiment's result to this path as JSON")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this path")
@@ -142,10 +127,6 @@ func benchMain() int {
 	scale.Schedule = *schedule
 	scale.TargetShardMillis = *targetShardMs
 	scale.Oracle = *oracle
-	scale.Dispatch = *dispatch
-	scale.NoOracleBatch = !*oracleBatch
-	scale.BackendDispatch = *backendDispatch
-	scale.NoBackendBatch = !*backendBatch
 	scale.Paranoid = *paranoid
 	scale.Telemetry = tel
 	which := flag.Args()

@@ -1,13 +1,9 @@
 package campaign
 
 import (
-	"context"
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
-	"time"
 
 	"spe/internal/corpus"
 )
@@ -134,35 +130,7 @@ func TestBackendReuseResume(t *testing.T) {
 	cfg := base
 	cfg.CheckpointPath = path
 
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(time.Millisecond):
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				continue
-			}
-			var ck checkpointFile
-			if json.Unmarshal(data, &ck) == nil && ck.NextSeq >= 3 {
-				cancel()
-				return
-			}
-		}
-	}()
-	if _, err := RunContext(ctx, cfg); err == nil {
-		t.Log("campaign completed before cancellation; resume still replays the tail")
-	}
-	cancel()
-	<-done
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("no checkpoint survived the kill: %v", err)
-	}
+	interruptAtCheckpoint(t, cfg)
 	resumed, err := Resume(path)
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,6 @@ import (
 	"strings"
 
 	"spe/internal/minicc"
-	"spe/internal/refvm"
 	"spe/internal/spe"
 )
 
@@ -143,49 +142,6 @@ type Config struct {
 	// (stdout bytes, exit status, UB kind and position, step count) and a
 	// divergence aborts the campaign.
 	Oracle string
-	// Dispatch selects the bytecode oracle's instruction dispatch engine:
-	// DispatchThreaded (the default) executes through refvm's
-	// per-instruction function-pointer handler table, built at skeleton
-	// compile time with superinstruction fusion and compile-time-provable
-	// operand specialization; DispatchSwitch is the monolithic opcode
-	// switch. The two engines are observationally identical — same UB
-	// verdicts, output bytes, exit statuses, and step counts, so reports
-	// are byte-identical either way (pinned by the dispatch-equivalence
-	// tests) — and the knob exists as the benchmark baseline and for
-	// bisecting suspected dispatch bugs. With Oracle set to OracleTree the
-	// engine selection is accepted but moot.
-	Dispatch string
-	// NoOracleBatch disables batched shard execution. With batching on
-	// (the default, when the bytecode oracle serves the AST-resident path
-	// with pooled backends), a worker drains its whole shard through
-	// refvm.Cache.RunBatch on one checked-out VM — each neighboring fill is
-	// rebound into the instance and only the moved hole sites re-patched
-	// between runs — and then replays the compiler configurations over the
-	// clean variants. Reports are byte-identical either way (pinned by the
-	// dispatch-equivalence tests); the knob exists as the benchmark
-	// baseline and for bisecting suspected batching bugs.
-	NoOracleBatch bool
-	// BackendDispatch selects the minicc VM's instruction dispatch engine
-	// for the compiled binaries under test: BackendDispatchThreaded (the
-	// default) executes the superinstruction-fused IR through a per-opcode
-	// handler table, BackendDispatchSwitch is the monolithic opcode switch
-	// running the same fused code. The two engines are observationally
-	// identical — same seeded crashes, coverage hits, trap/exit/output
-	// verdicts, and step accounting — so reports are byte-identical either
-	// way (pinned by the backend-dispatch-equivalence tests); the knob
-	// exists as the benchmark baseline and for bisecting suspected
-	// dispatch bugs.
-	BackendDispatch string
-	// NoBackendBatch disables batched compiler execution inside a batched
-	// shard. With batching on (the default, whenever the shard takes the
-	// batched oracle path), phase 2 walks configurations in the outer loop:
-	// each (version, opt) pair drains every UB-free variant in ascending
-	// order through minicc.Cache.RunBatch, keeping one compiler
-	// configuration's template trace, pass pipeline, and VM state hot
-	// across the whole shard. Reports are byte-identical either way
-	// (pinned by the backend-dispatch-equivalence tests); the knob exists
-	// as the benchmark baseline and for bisecting suspected batching bugs.
-	NoBackendBatch bool
 	// Telemetry, when non-nil, streams live campaign vitals: per-stage
 	// timing splits, pool and cache hit rates, shard latency, coverage
 	// frontier growth, findings by class — served over HTTP by
@@ -224,20 +180,6 @@ const (
 	OracleBytecode = "bytecode"
 )
 
-// Dispatch values for Config.Dispatch (aliases of refvm's, so the flag
-// surface and the oracle agree by construction).
-const (
-	DispatchThreaded = refvm.DispatchThreaded
-	DispatchSwitch   = refvm.DispatchSwitch
-)
-
-// BackendDispatch values for Config.BackendDispatch (aliases of minicc's,
-// so the flag surface and the backend VM agree by construction).
-const (
-	BackendDispatchThreaded = minicc.DispatchThreaded
-	BackendDispatchSwitch   = minicc.DispatchSwitch
-)
-
 func (c Config) withDefaults() Config {
 	if len(c.Versions) == 0 {
 		c.Versions = []string{"trunk"}
@@ -274,12 +216,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Oracle == "" {
 		c.Oracle = OracleBytecode
-	}
-	if c.Dispatch == "" {
-		c.Dispatch = DispatchThreaded
-	}
-	if c.BackendDispatch == "" {
-		c.BackendDispatch = BackendDispatchThreaded
 	}
 	if c.Lookahead <= 0 {
 		c.Lookahead = 256

@@ -34,40 +34,7 @@ func TestCheckpointResumeAfterKill(t *testing.T) {
 	cfg := base
 	cfg.CheckpointPath = path
 
-	// cancel the run as soon as a few shards have been durably merged —
-	// the moral equivalent of kill -9 between two checkpoint writes
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(time.Millisecond):
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				continue
-			}
-			var ck checkpointFile
-			if json.Unmarshal(data, &ck) == nil && ck.NextSeq >= 3 {
-				cancel()
-				return
-			}
-		}
-	}()
-	rep, err := RunContext(ctx, cfg)
-	cancel()
-	<-done
-	if err == nil {
-		// the campaign outran the watcher; the resume assertion below
-		// still holds (it replays the tail after the last checkpoint)
-		t.Logf("campaign completed before cancellation; findings=%d", len(rep.Findings))
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("no checkpoint survived the kill: %v", err)
-	}
+	interruptAtCheckpoint(t, cfg)
 
 	resumed, err := Resume(path)
 	if err != nil {
@@ -82,6 +49,129 @@ func TestCheckpointResumeAfterKill(t *testing.T) {
 	if !reflect.DeepEqual(resumed.Stats, ref.Stats) {
 		t.Errorf("resumed stats differ: %+v vs %+v", resumed.Stats, ref.Stats)
 	}
+}
+
+// interruptAtCheckpoint runs cfg, which must set CheckpointPath, and
+// cancels it as soon as a few shards have been durably merged — the moral
+// equivalent of kill -9 between two checkpoint writes. It returns the
+// surviving checkpoint. A campaign that outruns the watcher completes
+// instead; its last checkpoint still resumes by replaying the tail.
+func interruptAtCheckpoint(t *testing.T, cfg Config) []byte {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-time.After(time.Millisecond):
+			}
+			data, err := os.ReadFile(cfg.CheckpointPath)
+			if err != nil {
+				continue
+			}
+			var ck checkpointFile
+			if json.Unmarshal(data, &ck) == nil && ck.NextSeq >= 3 {
+				cancel()
+				return
+			}
+		}
+	}()
+	if _, err := RunContext(ctx, cfg); err == nil {
+		t.Log("campaign completed before cancellation; resume still replays the tail")
+	}
+	cancel()
+	<-done
+	data, err := os.ReadFile(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatalf("no checkpoint survived the kill: %v", err)
+	}
+	return data
+}
+
+// TestCheckpointResumeCases interrupts checkpointed campaigns, edits the
+// surviving checkpoint where a row asks to, and requires every resume to
+// reproduce the report of a fresh uninterrupted run byte for byte.
+func TestCheckpointResumeCases(t *testing.T) {
+	base := Config{
+		Corpus:             corpus.Seeds()[:4],
+		Versions:           []string{"trunk"},
+		MaxVariantsPerFile: 60,
+		Workers:            2,
+		ShardSize:          8,
+		CheckpointEvery:    1,
+	}
+	want := mustRun(t, base).Format()
+
+	cases := []struct {
+		name  string
+		tweak func(*Config)
+		// extra names a testdata JSON object whose keys are merged into
+		// the checkpoint's embedded Config
+		extra string
+	}{
+		// a v3 checkpoint written while the oracle and the minicc VM still
+		// had alternative engines names them in its Config; resume decodes
+		// it with a plain json.Unmarshal, which must ignore the fields
+		{name: "removed engine fields", extra: "removed_engine_fields.json"},
+		// the resumed tail runs the per-variant cross-checks as well
+		{name: "paranoid", tweak: func(c *Config) { c.Paranoid = true }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			if tc.tweak != nil {
+				tc.tweak(&cfg)
+			}
+			cfg.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
+			data := interruptAtCheckpoint(t, cfg)
+			if tc.extra != "" {
+				data = mergeIntoConfig(t, data, filepath.Join("testdata", tc.extra))
+				if err := os.WriteFile(cfg.CheckpointPath, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			resumed, err := Resume(cfg.CheckpointPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resumed.Format(); got != want {
+				t.Errorf("resumed report diverges from a fresh run:\n--- resumed ---\n%s--- fresh ---\n%s", got, want)
+			}
+		})
+	}
+}
+
+// mergeIntoConfig returns checkpoint data with the keys of the JSON object
+// in path merged into its embedded Config.
+func mergeIntoConfig(t *testing.T, data []byte, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var extra, doc, embedded map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &extra); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(doc["Config"], &embedded); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range extra {
+		embedded[k] = v
+	}
+	if doc["Config"], err = json.Marshal(embedded); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestCheckpointResumeCoverageSchedule kills a coverage-scheduled
@@ -109,36 +199,7 @@ func TestCheckpointResumeCoverageSchedule(t *testing.T) {
 	cfg := base
 	cfg.CheckpointPath = path
 
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(time.Millisecond):
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				continue
-			}
-			var ck checkpointFile
-			if json.Unmarshal(data, &ck) == nil && ck.NextSeq >= 3 {
-				cancel()
-				return
-			}
-		}
-	}()
-	if rep, err := RunContext(ctx, cfg); err == nil {
-		t.Logf("campaign completed before cancellation; findings=%d", len(rep.Findings))
-	}
-	cancel()
-	<-done
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("no checkpoint survived the kill: %v", err)
-	}
+	data := interruptAtCheckpoint(t, cfg)
 	var ck checkpointFile
 	if err := json.Unmarshal(data, &ck); err != nil {
 		t.Fatal(err)
@@ -249,36 +310,7 @@ func TestCheckpointMigrateV2(t *testing.T) {
 	cfg := base
 	cfg.CheckpointPath = path
 
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(time.Millisecond):
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				continue
-			}
-			var ck checkpointFile
-			if json.Unmarshal(data, &ck) == nil && ck.NextSeq >= 3 {
-				cancel()
-				return
-			}
-		}
-	}()
-	if _, err := RunContext(ctx, cfg); err == nil {
-		t.Log("campaign completed before cancellation; the downgraded resume below still replays the tail")
-	}
-	cancel()
-	<-done
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("no checkpoint survived the kill: %v", err)
-	}
+	data := interruptAtCheckpoint(t, cfg)
 
 	// Downgrade the surviving checkpoint to exactly what a v2 writer
 	// would have produced: version 2, no per-region steering keys.

@@ -76,23 +76,13 @@ type attrKey struct {
 	coarse string
 }
 
-// symRec is one symptom observed by the batched shard path, tagged with
-// its variant slot. Records accumulate in arrival order and are
-// bucket-filled into a single shard-wide symptom arena afterwards (see
-// runShardBatch), replacing a per-symptomatic-variant slice allocation.
-type symRec struct {
-	slot int
-	s    symptom
-}
-
 // classifier carries a shard task's classification state: the attribution
-// memo and the batched path's symptom-record scratch. It is checked out
-// per shard task exactly like the Space and backendState — shard-local,
-// never shared across workers — which keeps attribution memoization
-// deterministic (seed-scoped: a task never spans files).
+// memo. It is checked out per shard task exactly like the Space and
+// backendState — shard-local, never shared across workers — which keeps
+// attribution memoization deterministic (seed-scoped: a task never spans
+// files).
 type classifier struct {
 	attr map[attrKey]string
-	recs []symRec
 }
 
 func newClassifier() *classifier {
@@ -160,10 +150,7 @@ func evalProgram(cfg Config, prog *cc.Program, holes []*cc.Ident, be *backendSta
 // evalBackends is the compiler half of evalProgram: it runs one clean
 // variant through every (version, optimization level) configuration and
 // classifies each divergence from the oracle verdict ref into vr's
-// symptoms. It serves the interleaved per-variant path (evalProgram); the
-// batched shard path walks the same configurations config-outer through
-// minicc.Cache.RunBatch instead (runShardBatch) with byte-identical
-// results. Stage timing splits compile+execute (backend) from
+// symptoms. Stage timing splits compile+execute (backend) from
 // classification and attribution (classify), so /status shows where a
 // configuration's time actually goes.
 func evalBackends(cfg Config, prog *cc.Program, holes []*cc.Ident, be *backendState, ref *interp.Result, render func() string, cl *classifier, cov *minicc.Coverage, so *shardObs, vr *variantResult) error {
@@ -179,7 +166,7 @@ func evalBackends(cfg Config, prog *cc.Program, holes []*cc.Ident, be *backendSt
 			if so != nil {
 				t0 = time.Now()
 			}
-			ecfg := minicc.ExecConfig{MaxSteps: execSteps, Dispatch: cfg.BackendDispatch}
+			ecfg := minicc.ExecConfig{MaxSteps: execSteps}
 			var ro *minicc.RunOutcome
 			if be != nil && holes != nil {
 				// template-cached backend: the skeleton was lowered once,
@@ -200,7 +187,7 @@ func evalBackends(cfg Config, prog *cc.Program, holes []*cc.Ident, be *backendSt
 				so.backendNs += now.Sub(t0).Nanoseconds()
 				t0 = now
 			}
-			if s, found := classifyOutcome(cfg, ver, opt, ref, ro, prog, cl); found {
+			if s, found := classifyOutcome(ver, opt, ref, ro, prog, cl); found {
 				if vr.src == "" {
 					vr.src = render()
 				}
@@ -236,9 +223,9 @@ func referenceRun(cfg Config, prog *cc.Program, holes []*cc.Ident, be *backendSt
 	}
 	var ref *interp.Result
 	if be != nil {
-		ref = be.ref.Run(prog, holes, refvm.Config{MaxSteps: cfg.Steps, Dispatch: cfg.Dispatch})
+		ref = be.ref.Run(prog, holes, refvm.Config{MaxSteps: cfg.Steps})
 	} else {
-		ref = refvm.Run(prog, refvm.Config{MaxSteps: cfg.Steps, Dispatch: cfg.Dispatch})
+		ref = refvm.Run(prog, refvm.Config{MaxSteps: cfg.Steps})
 	}
 	if cfg.Paranoid {
 		if so != nil {
@@ -289,7 +276,7 @@ func crossCheckOracle(tree, bc *interp.Result) error {
 // reuse its verdict, exactly as the sequential campaignState memo did
 // within a whole campaign. The aggregator reduces the shard-local memos to
 // the campaign-global one.
-func classifyOutcome(cfg Config, ver string, opt int, ref *interp.Result,
+func classifyOutcome(ver string, opt int, ref *interp.Result,
 	ro *minicc.RunOutcome, prog *cc.Program, cl *classifier) (symptom, bool) {
 
 	out := ro.Compile
@@ -330,7 +317,7 @@ func classifyOutcome(cfg Config, ver string, opt int, ref *interp.Result,
 	memo := attrKey{ver: ver, opt: opt, coarse: coarse}
 	bugID, cached := cl.attr[memo]
 	if !cached {
-		bugID = attributeWrongCode(prog, ver, opt, ref, cfg)
+		bugID = attributeWrongCode(prog, ver, opt, ref)
 		cl.attr[memo] = bugID
 	}
 	return symptom{Ver: ver, Opt: opt, Class: classMismatch,
@@ -340,7 +327,7 @@ func classifyOutcome(cfg Config, ver string, opt int, ref *interp.Result,
 // attributeWrongCode finds which single seeded bug explains a wrong-code
 // symptom by deactivating active bugs one at a time — a seeded-oracle
 // analogue of the paper's root-cause triage.
-func attributeWrongCode(prog *cc.Program, ver string, opt int, ref *interp.Result, cfg Config) string {
+func attributeWrongCode(prog *cc.Program, ver string, opt int, ref *interp.Result) string {
 	vi := minicc.VersionIndex(ver)
 	if vi < 0 {
 		vi = len(minicc.Versions) - 1
@@ -349,7 +336,7 @@ func attributeWrongCode(prog *cc.Program, ver string, opt int, ref *interp.Resul
 	for _, hook := range full.Hooks() {
 		reduced := full.Without(hook)
 		comp := &minicc.Compiler{Version: ver, Opt: opt, Bugs: reduced}
-		ro := comp.Run(prog, minicc.ExecConfig{MaxSteps: ref.Steps*20 + 50_000, Dispatch: cfg.BackendDispatch})
+		ro := comp.Run(prog, minicc.ExecConfig{MaxSteps: ref.Steps*20 + 50_000})
 		if !ro.Compile.Ok() {
 			continue
 		}

@@ -281,8 +281,8 @@ func runTask(ctx context.Context, cfg Config, t *task) *taskResult {
 			so.refvmBase = be.ref.Stats()
 		}
 	}
-	// shard-local classifier: attribution memo plus the batched path's
-	// symptom scratch (seed-scoped: a task never spans files)
+	// shard-local classifier: attribution memo (seed-scoped: a task never
+	// spans files)
 	cl := newClassifier()
 	if t.includeOriginal {
 		res.variants = append(res.variants, evalSource(cfg, t.plan.src, be, cl, cov, so))
@@ -290,31 +290,21 @@ func runTask(ctx context.Context, cfg Config, t *task) *taskResult {
 	if t.toJ > t.fromJ {
 		space := t.plan.pool.Get()
 		defer t.plan.pool.Put(space)
-		if batchEligible(cfg, be) {
-			// batched shard path: all oracle verdicts first on one
-			// checked-out VM, then the compiler configurations over the
-			// clean variants — same ascending order, byte-identical report
-			if err := runShardBatch(ctx, cfg, t, space, be, cl, cov, so, res); err != nil {
-				res.err = err
+		idx := new(big.Int)
+		stride := big.NewInt(t.plan.stride)
+		for j := t.fromJ; j < t.toJ; j++ {
+			if ctx.Err() != nil {
+				res.err = ctx.Err()
 				return res
 			}
-		} else {
-			idx := new(big.Int)
-			stride := big.NewInt(t.plan.stride)
-			for j := t.fromJ; j < t.toJ; j++ {
-				if ctx.Err() != nil {
-					res.err = ctx.Err()
-					return res
-				}
-				idx.SetInt64(j)
-				idx.Mul(idx, stride)
-				vr, err := runVariant(cfg, space, be, idx, cl, cov, so)
-				if err != nil {
-					res.err = fmt.Errorf("campaign: corpus[%d] variant %d: %w", t.plan.seedIdx, j, err)
-					return res
-				}
-				res.variants = append(res.variants, vr)
+			idx.SetInt64(j)
+			idx.Mul(idx, stride)
+			vr, err := runVariant(cfg, space, be, idx, cl, cov, so)
+			if err != nil {
+				res.err = fmt.Errorf("campaign: corpus[%d] variant %d: %w", t.plan.seedIdx, j, err)
+				return res
 			}
+			res.variants = append(res.variants, vr)
 		}
 	}
 	if err := cov.Err(); err != nil {

@@ -276,35 +276,7 @@ func TestTelemetryResume(t *testing.T) {
 	cfg.CheckpointPath = path
 	liveTelemetry(t, &cfg)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(time.Millisecond):
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				continue
-			}
-			var ck checkpointFile
-			if json.Unmarshal(data, &ck) == nil && ck.NextSeq >= 3 {
-				cancel()
-				return
-			}
-		}
-	}()
-	if _, err := RunContext(ctx, cfg); err == nil {
-		t.Log("campaign completed before cancellation; resume still replays the tail")
-	}
-	cancel()
-	<-done
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("no checkpoint survived the kill: %v", err)
-	}
+	interruptAtCheckpoint(t, cfg)
 
 	tel := NewTelemetry()
 	resumed, err := ResumeTelemetry(context.Background(), path, tel)

@@ -97,14 +97,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("campaign: unknown oracle %q (want %q or %q)",
 			c.Oracle, OracleTree, OracleBytecode)
 	}
-	if c.Dispatch != DispatchThreaded && c.Dispatch != DispatchSwitch {
-		return fmt.Errorf("campaign: unknown dispatch %q (want %q or %q)",
-			c.Dispatch, DispatchThreaded, DispatchSwitch)
-	}
-	if c.BackendDispatch != BackendDispatchThreaded && c.BackendDispatch != BackendDispatchSwitch {
-		return fmt.Errorf("campaign: unknown backend dispatch %q (want %q or %q)",
-			c.BackendDispatch, BackendDispatchThreaded, BackendDispatchSwitch)
-	}
 	return nil
 }
 
@@ -112,8 +104,7 @@ func (c Config) validate() error {
 // sequence derived locally from the shared Config (parse, analyze,
 // skeletonize, pool — each corpus file once), plus RunSpec to execute any
 // task by its TaskSpec through the exact code path in-process workers use
-// (pooled Spaces and backends, batched shard execution, paranoid
-// cross-checks). Planners are safe for concurrent RunSpec calls: per-task
+// (pooled Spaces and backends, paranoid cross-checks). Planners are safe for concurrent RunSpec calls: per-task
 // mutable state is checked out of the per-file pools.
 type Planner struct {
 	cfg   Config

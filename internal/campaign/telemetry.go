@@ -53,17 +53,9 @@ type Telemetry struct {
 	miniccTemplateBuilds *obs.Counter
 	miniccReplays        *obs.Counter
 	miniccFreshLowerings *obs.Counter
-	miniccThreadedRuns   *obs.Counter
-	miniccSwitchRuns     *obs.Counter
-	miniccBatchRuns      *obs.Counter
-	miniccBatches        *obs.Counter
 	refvmCompiles        *obs.Counter
 	refvmPatchRuns       *obs.Counter
 	refvmFallbacks       *obs.Counter
-	refvmThreadedRuns    *obs.Counter
-	refvmSwitchRuns      *obs.Counter
-	refvmBatchRuns       *obs.Counter
-	refvmBatches         *obs.Counter
 
 	costNsPerVariant *obs.Gauge
 	reorderPending   *obs.Gauge
@@ -133,17 +125,9 @@ func NewTelemetry() *Telemetry {
 		miniccTemplateBuilds: reg.Counter("spe_minicc_template_builds_total", "minicc IR templates lowered (once per skeleton per cache)."),
 		miniccReplays:        reg.Counter("spe_minicc_replays_total", "Compilations served by IR-template trace replay."),
 		miniccFreshLowerings: reg.Counter("spe_minicc_fresh_lowerings_total", "Compilations that fell back to a fresh lowering."),
-		miniccThreadedRuns:   reg.Counter("spe_minicc_runs_total", "Compiled-binary executions by instruction dispatch engine.", obs.L("dispatch", "threaded")),
-		miniccSwitchRuns:     reg.Counter("spe_minicc_runs_total", "Compiled-binary executions by instruction dispatch engine.", obs.L("dispatch", "switch")),
-		miniccBatchRuns:      reg.Counter("spe_minicc_batch_runs_total", "Compiled-binary executions served inside a batched per-config shard walk."),
-		miniccBatches:        reg.Counter("spe_minicc_batches_total", "Batched per-config shard walks (one RunBatch per configuration per eligible shard)."),
 		refvmCompiles:        reg.Counter("spe_refvm_template_compiles_total", "refvm bytecode templates compiled (once per skeleton per cache)."),
 		refvmPatchRuns:       reg.Counter("spe_refvm_patch_runs_total", "Oracle runs served by patching moved holes in cached bytecode."),
 		refvmFallbacks:       reg.Counter("spe_refvm_fallbacks_total", "Oracle runs that fell back to a fresh bytecode compilation."),
-		refvmThreadedRuns:    reg.Counter("spe_refvm_runs_total", "Oracle runs by instruction dispatch engine.", obs.L("dispatch", "threaded")),
-		refvmSwitchRuns:      reg.Counter("spe_refvm_runs_total", "Oracle runs by instruction dispatch engine.", obs.L("dispatch", "switch")),
-		refvmBatchRuns:       reg.Counter("spe_refvm_batch_runs_total", "Oracle runs served inside a batched shard execution."),
-		refvmBatches:         reg.Counter("spe_refvm_batches_total", "Batched shard executions (one RunBatch per eligible shard)."),
 
 		costNsPerVariant: reg.Gauge("spe_cost_ns_per_variant", "EWMA per-variant wall-clock cost model (adaptive shard sizing)."),
 		reorderPending:   reg.Gauge("spe_reorder_pending_shards", "Shard results buffered awaiting in-order merge."),
@@ -330,17 +314,9 @@ func (t *Telemetry) observeMerge(r *taskResult) {
 		t.miniccTemplateBuilds.Add(so.minicc.TemplateBuilds)
 		t.miniccReplays.Add(so.minicc.Replays)
 		t.miniccFreshLowerings.Add(so.minicc.FreshLowerings)
-		t.miniccThreadedRuns.Add(so.minicc.ThreadedRuns)
-		t.miniccSwitchRuns.Add(so.minicc.SwitchRuns)
-		t.miniccBatchRuns.Add(so.minicc.BatchRuns)
-		t.miniccBatches.Add(so.minicc.Batches)
 		t.refvmCompiles.Add(so.refvm.TemplateCompiles)
 		t.refvmPatchRuns.Add(so.refvm.PatchRuns)
 		t.refvmFallbacks.Add(so.refvm.Fallbacks)
-		t.refvmThreadedRuns.Add(so.refvm.ThreadedRuns)
-		t.refvmSwitchRuns.Add(so.refvm.SwitchRuns)
-		t.refvmBatchRuns.Add(so.refvm.BatchRuns)
-		t.refvmBatches.Add(so.refvm.Batches)
 	}
 }
 

@@ -50,24 +50,6 @@ type Scale struct {
 	// skeleton-compiled UB-checking bytecode VM; "tree" = the historical
 	// tree-walking interpreter). Tables are identical under either.
 	Oracle string
-	// Dispatch selects the bytecode oracle's instruction dispatch engine
-	// ("" = threaded, the fused and specialized handler table; "switch" =
-	// the monolithic opcode switch baseline). Tables are identical under
-	// either.
-	Dispatch string
-	// NoOracleBatch disables the campaign's batched shard execution (one
-	// oracle VM checkout per shard); the baseline knob. Tables are
-	// identical either way.
-	NoOracleBatch bool
-	// BackendDispatch selects the minicc VM's instruction dispatch engine
-	// for the compiled binaries under test ("" = threaded, the fused
-	// handler table; "switch" = the monolithic opcode switch baseline).
-	// Tables are identical under either.
-	BackendDispatch string
-	// NoBackendBatch disables the campaign's batched per-config compiler
-	// walk inside batched shards; the baseline knob. Tables are identical
-	// either way.
-	NoBackendBatch bool
 	// Paranoid enables the campaign engine's per-variant render+reparse
 	// cross-check of the AST-resident instantiation (campaign.Config.
 	// Paranoid) and, under the bytecode oracle, the per-variant
@@ -298,14 +280,14 @@ func Figure8(scale Scale) (string, error) {
 
 // Campaign runs the bug-hunting campaign used by Tables 3 and 4 and
 // Figure 10.
-func Campaign(scale Scale, versions []string) (*harness.Report, error) {
+func Campaign(scale Scale, versions []string) (*campaign.Report, error) {
 	scale = scale.withDefaults()
 	progs := corpus.Seeds()
 	progs = append(progs, corpus.Generate(corpus.Config{N: scale.CampaignCorpus, Seed: scale.Seed + 1})...)
 	// the campaign is budgeted per file by MaxVariants rather than by the
 	// paper's 10K skip-threshold (which models their fixed compute budget;
 	// our cap achieves the same bound while still sampling large files)
-	return harness.Run(harness.Config{
+	return campaign.Run(campaign.Config{
 		Corpus:             progs,
 		Versions:           versions,
 		Threshold:          -1,
@@ -315,10 +297,6 @@ func Campaign(scale Scale, versions []string) (*harness.Report, error) {
 		Schedule:           scale.Schedule,
 		TargetShardMillis:  scale.TargetShardMillis,
 		Oracle:             scale.Oracle,
-		Dispatch:           scale.Dispatch,
-		NoOracleBatch:      scale.NoOracleBatch,
-		BackendDispatch:    scale.BackendDispatch,
-		NoBackendBatch:     scale.NoBackendBatch,
 		Paranoid:           scale.Paranoid,
 		ForceRenderPath:    scale.ForceRenderPath,
 		Telemetry:          scale.Telemetry,
@@ -351,7 +329,7 @@ func Table3(scale Scale) (string, error) {
 }
 
 // Table4 reproduces the bug-overview table from a trunk campaign.
-func Table4(scale Scale) (string, *harness.Report, error) {
+func Table4(scale Scale) (string, *campaign.Report, error) {
 	rep, err := Campaign(scale, []string{"trunk"})
 	if err != nil {
 		return "", nil, err

@@ -7,9 +7,9 @@ import (
 	"os"
 	"time"
 
+	"spe/internal/campaign"
 	"spe/internal/cc"
 	"spe/internal/corpus"
-	"spe/internal/harness"
 	"spe/internal/skeleton"
 	"spe/internal/spe"
 )
@@ -137,8 +137,8 @@ func VariantsBench(scale Scale) (string, error) {
 	res.InstSpeedup = res.InstASTVPS / res.InstRenderVPS
 
 	// stage 2: the full differential campaign, both flavors
-	campaign := func(renderPath, paranoid bool) (*harness.Report, float64, error) {
-		cfg := harness.Config{
+	run := func(renderPath, paranoid bool) (*campaign.Report, float64, error) {
+		cfg := campaign.Config{
 			Corpus:             progs,
 			Versions:           []string{"trunk"},
 			Threshold:          -1,
@@ -149,14 +149,14 @@ func VariantsBench(scale Scale) (string, error) {
 			Telemetry:          scale.Telemetry,
 		}
 		start := time.Now()
-		rep, err := harness.Run(cfg)
+		rep, err := campaign.Run(cfg)
 		return rep, time.Since(start).Seconds(), err
 	}
-	renderRep, renderCampSec, err := campaign(true, false)
+	renderRep, renderCampSec, err := run(true, false)
 	if err != nil {
 		return "", fmt.Errorf("experiments: variants: render campaign: %w", err)
 	}
-	astRep, astCampSec, err := campaign(false, false)
+	astRep, astCampSec, err := run(false, false)
 	if err != nil {
 		return "", fmt.Errorf("experiments: variants: ast campaign: %w", err)
 	}
@@ -169,7 +169,7 @@ func VariantsBench(scale Scale) (string, error) {
 		return "", fmt.Errorf("experiments: variants: AST-path report diverges from render path")
 	}
 	if scale.Paranoid {
-		paranoidRep, _, err := campaign(false, true)
+		paranoidRep, _, err := run(false, true)
 		if err != nil {
 			return "", fmt.Errorf("experiments: variants: paranoid cross-check: %w", err)
 		}

@@ -15,8 +15,8 @@ import (
 )
 
 // These tests pin the fabric's determinism contract: a loopback
-// coordinator/worker campaign — any worker count, any schedule, batching
-// on or off, leases expiring and re-dispatching, the coordinator itself
+// coordinator/worker campaign — any worker count, any schedule, leases
+// expiring and re-dispatching, the coordinator itself
 // killed and resumed — formats byte-identically to the in-process
 // engine. They mirror the *_equivalence_test.go pattern in
 // internal/campaign: one baseline Report.Format(), every cell compared
@@ -85,30 +85,25 @@ func runFabric(t *testing.T, cfg campaign.Config, workers int, opts Options, tra
 
 func local(c *Coordinator) Transport { return &LocalTransport{C: c} }
 
-// TestFabricEquivalenceMatrix crosses worker count x schedule x oracle
-// batching over the loopback transport against the in-process baseline.
+// TestFabricEquivalenceMatrix crosses worker count x schedule over the
+// loopback transport against the in-process baseline.
 func TestFabricEquivalenceMatrix(t *testing.T) {
 	want := inProcessBaseline(t, baseConfig())
 
 	workerCounts := []int{1, 2, 4}
 	schedules := []string{campaign.ScheduleFIFO, campaign.ScheduleCoverage, campaign.ScheduleRegion}
-	batching := []bool{false, true}
 	if testing.Short() {
 		workerCounts = []int{2} // race CI: one parallel cell per axis
 		schedules = []string{campaign.ScheduleFIFO}
-		batching = []bool{false}
 	}
 	for _, workers := range workerCounts {
 		for _, schedule := range schedules {
-			for _, noBatch := range batching {
-				cfg := baseConfig()
-				cfg.Schedule = schedule
-				cfg.NoOracleBatch = noBatch
-				got := runFabric(t, cfg, workers, Options{LeaseTimeout: 30 * time.Second}, local)
-				if got != want {
-					t.Errorf("fabric report diverges (workers=%d schedule=%s noBatch=%v):\n--- fabric ---\n%s--- in-process ---\n%s",
-						workers, schedule, noBatch, got, want)
-				}
+			cfg := baseConfig()
+			cfg.Schedule = schedule
+			got := runFabric(t, cfg, workers, Options{LeaseTimeout: 30 * time.Second}, local)
+			if got != want {
+				t.Errorf("fabric report diverges (workers=%d schedule=%s):\n--- fabric ---\n%s--- in-process ---\n%s",
+					workers, schedule, got, want)
 			}
 		}
 	}
@@ -152,7 +147,15 @@ func TestFabricHTTPEquivalence(t *testing.T) {
 	coord := NewCoordinator(core, Options{LeaseTimeout: 30 * time.Second})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
+	if got := runHTTPWorkers(t, coord, srv.URL); got != want {
+		t.Errorf("HTTP fabric report diverges:\n--- fabric ---\n%s--- in-process ---\n%s", got, want)
+	}
+}
 
+// runHTTPWorkers drains coord with two workers dialing url and returns the
+// final formatted report.
+func runHTTPWorkers(t *testing.T, coord *Coordinator, url string) string {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -161,7 +164,7 @@ func TestFabricHTTPEquivalence(t *testing.T) {
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
-			w := &Worker{Transport: Dial(srv.URL), ID: "http-w", Parallelism: 2, RetryBackoff: time.Millisecond}
+			w := &Worker{Transport: Dial(url), ID: "http-w", Parallelism: 2, RetryBackoff: time.Millisecond}
 			errs[slot] = w.Run(ctx)
 		}(i)
 	}
@@ -175,9 +178,7 @@ func TestFabricHTTPEquivalence(t *testing.T) {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
-	if got := rep.Format(); got != want {
-		t.Errorf("HTTP fabric report diverges:\n--- fabric ---\n%s--- in-process ---\n%s", got, want)
-	}
+	return rep.Format()
 }
 
 // TestFabricCoordinatorKillAndResume kills the coordinator mid-campaign

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,6 +23,11 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
+// maxRequestBytes caps a fabric request body. The largest legitimate
+// request is a shard result, which carries source text only for the
+// shard's symptomatic variants: kilobytes in practice, far below the cap.
+const maxRequestBytes = 32 << 20
+
 // handleJSON adapts one coordinator method to an HTTP endpoint.
 func handleJSON[Req, Resp any](fn func(context.Context, *Req) (*Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -30,8 +36,13 @@ func handleJSON[Req, Resp any](fn func(context.Context, *Req) (*Resp, error)) ht
 			return
 		}
 		var req Req
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, fmt.Sprintf("bad request: %v", err), status)
 			return
 		}
 		resp, err := fn(r.Context(), &req)

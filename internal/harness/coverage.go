@@ -1,3 +1,7 @@
+// Package harness measures the compiler coverage behind the paper's
+// Figure 9: coverage reached by the original test programs, by skeletal
+// program enumeration, and by Orion-style statement-deletion mutation.
+// The differential-testing loop itself (§5) lives in internal/campaign.
 package harness
 
 import (

@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"spe/internal/campaign"
 	"spe/internal/corpus"
 	"spe/internal/minicc"
 )
@@ -10,7 +11,7 @@ import (
 func TestCampaignFindsSeededBugs(t *testing.T) {
 	// the handwritten seeds model exactly the bug families of the paper's
 	// figures; a trunk campaign over them must find several seeded bugs
-	rep, err := Run(Config{
+	rep, err := campaign.Run(campaign.Config{
 		Corpus:             corpus.Seeds(),
 		Versions:           []string{"trunk"},
 		MaxVariantsPerFile: 400,
@@ -21,7 +22,7 @@ func TestCampaignFindsSeededBugs(t *testing.T) {
 	if len(rep.Findings) == 0 {
 		t.Fatal("campaign found no bugs")
 	}
-	byID := map[string]*Finding{}
+	byID := map[string]*campaign.Finding{}
 	for _, fd := range rep.Findings {
 		byID[fd.BugID] = fd
 		t.Logf("found: id=%s kind=%v sig=%q opts=%v occurrences=%d",
@@ -57,7 +58,7 @@ func TestCampaignCleanCompilerFindsNothing(t *testing.T) {
 	// version by running unseeded compilers through the classifier: we
 	// approximate by checking that unseeded compilation matches the
 	// reference on every clean variant of one seed.
-	rep, err := Run(Config{
+	rep, err := campaign.Run(campaign.Config{
 		Corpus:             corpus.Seeds()[:2],
 		Versions:           []string{"trunk"},
 		MaxVariantsPerFile: 50,
@@ -84,7 +85,7 @@ int main() {
     a = b; b = c; c = d; d = a;
     return 0;
 }`
-	rep, err := Run(Config{
+	rep, err := campaign.Run(campaign.Config{
 		Corpus:    []string{big},
 		Threshold: 100,
 	})
@@ -109,7 +110,7 @@ int main() {
     printf("%d\n", r);
     return 0;
 }`
-	rep, err := Run(Config{
+	rep, err := campaign.Run(campaign.Config{
 		Corpus:             []string{seed},
 		MaxVariantsPerFile: 64,
 	})

@@ -28,8 +28,7 @@ func benchPrograms(b *testing.B) []*cc.Program {
 }
 
 // BenchmarkBackendMinicc is the compiled-binary backend on the campaign
-// hot path: template-cached compilation (trunk -O2) with the default
-// threaded dispatch over fused IR.
+// hot path: template-cached compilation (trunk -O2) over fused IR.
 func BenchmarkBackendMinicc(b *testing.B) {
 	progs := benchPrograms(b)
 	ca := minicc.NewCache()
@@ -42,35 +41,16 @@ func BenchmarkBackendMinicc(b *testing.B) {
 	}
 }
 
-// BenchmarkBackendMiniccNoFuse is the same workload with fusion disabled
-// on the monolithic switch engine — the PR 7 shape of the backend, for
-// isolating what the fused threaded VM buys.
+// BenchmarkBackendMiniccNoFuse is the same workload with fusion disabled,
+// for isolating what fusion buys.
 func BenchmarkBackendMiniccNoFuse(b *testing.B) {
 	progs := benchPrograms(b)
 	ca := minicc.NewCache()
 	c := &minicc.Compiler{Version: "trunk", Opt: 2, Seeded: true}
-	cfg := minicc.ExecConfig{Dispatch: minicc.DispatchSwitch, NoFuse: true}
+	cfg := minicc.ExecConfig{NoFuse: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.RunCached(ca, progs[i%len(progs)], nil, cfg, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCacheRunBatch is the batched shard walk: one RunBatch call
-// draining 8 runs of a template, amortizing bug-set resolution and
-// template lookup — the campaign's per-config phase-2 shape.
-func BenchmarkCacheRunBatch(b *testing.B) {
-	progs := benchPrograms(b)
-	ca := minicc.NewCache()
-	c := &minicc.Compiler{Version: "trunk", Opt: 2, Seeded: true}
-	const runs = 8
-	bind := func(i int) (minicc.ExecConfig, error) { return minicc.ExecConfig{}, nil }
-	yield := func(i int, ro *minicc.RunOutcome) error { return nil }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.RunBatch(ca, progs[i%len(progs)], nil, false, runs, bind, yield); err != nil {
 			b.Fatal(err)
 		}
 	}

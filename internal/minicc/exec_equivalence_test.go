@@ -2,22 +2,17 @@ package minicc_test
 
 import (
 	"fmt"
-	"math/big"
 	"testing"
 
 	"spe/internal/cc"
 	"spe/internal/corpus"
 	"spe/internal/minicc"
-	"spe/internal/partition"
-	"spe/internal/skeleton"
-	"spe/internal/spe"
 )
 
 // These tests pin the backend VM's speed-axis invariant: verdicts —
 // compile outcome, execution result down to step counts, and per-site
-// coverage — are identical across superinstruction fusion on/off and
-// threaded vs switch dispatch, corpus-wide; and RunBatch produces exactly
-// the per-variant results of the equivalent RunCached sequence.
+// coverage — are identical with superinstruction fusion on and off,
+// corpus-wide.
 
 func equivPrograms(t *testing.T) []*cc.Program {
 	t.Helper()
@@ -40,200 +35,27 @@ func equivPrograms(t *testing.T) []*cc.Program {
 	return progs
 }
 
-// TestDispatchFusionEquivalence compares every dispatch x fusion mode
-// against the unfused switch engine (the pre-fusion semantics) for every
-// corpus program under every compiler configuration.
+// TestDispatchFusionEquivalence compares the fused VM against the
+// unfused one (the pre-fusion semantics) for every corpus program under
+// every compiler configuration.
 func TestDispatchFusionEquivalence(t *testing.T) {
 	progs := equivPrograms(t)
-	modes := []struct {
-		name string
-		cfg  minicc.ExecConfig
-	}{
-		{"threaded+fused", minicc.ExecConfig{}},
-		{"switch+fused", minicc.ExecConfig{Dispatch: minicc.DispatchSwitch}},
-		{"threaded+nofuse", minicc.ExecConfig{NoFuse: true}},
-	}
 	for pi, prog := range progs {
 		for _, ver := range []string{"4.8", "trunk"} {
 			for _, opt := range minicc.OptLevels {
 				baseCov := minicc.NewCoverage()
 				base := &minicc.Compiler{Version: ver, Opt: opt, Seeded: true, Coverage: baseCov}
-				want := base.Run(prog, minicc.ExecConfig{Dispatch: minicc.DispatchSwitch, NoFuse: true})
-				for _, m := range modes {
-					cov := minicc.NewCoverage()
-					c := &minicc.Compiler{Version: ver, Opt: opt, Seeded: true, Coverage: cov}
-					got := c.Run(prog, m.cfg)
-					label := fmt.Sprintf("prog %d %s -O%d %s", pi, ver, opt, m.name)
-					if err := sameOutcome(got, want); err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					for _, site := range minicc.Sites() {
-						if g, w := cov.SiteCount(site), baseCov.SiteCount(site); g != w {
-							t.Fatalf("%s: coverage site %s: %d hits, want %d", label, site, g, w)
-						}
-					}
+				want := base.Run(prog, minicc.ExecConfig{NoFuse: true})
+				cov := minicc.NewCoverage()
+				c := &minicc.Compiler{Version: ver, Opt: opt, Seeded: true, Coverage: cov}
+				got := c.Run(prog, minicc.ExecConfig{})
+				label := fmt.Sprintf("prog %d %s -O%d", pi, ver, opt)
+				if err := sameOutcome(got, want); err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
-			}
-		}
-	}
-}
-
-// copyOutcome snapshots a RunOutcome whose storage may be cache scratch
-// (RunBatch and RunCached both reuse per-cache clones between calls).
-func copyOutcome(ro *minicc.RunOutcome) *minicc.RunOutcome {
-	cp := &minicc.RunOutcome{}
-	if ro.Compile != nil {
-		o := *ro.Compile
-		o.Program = nil
-		if o.Crash != nil {
-			cr := *o.Crash
-			o.Crash = &cr
-		}
-		if o.Timeout != nil {
-			to := *o.Timeout
-			o.Timeout = &to
-		}
-		cp.Compile = &o
-	}
-	if ro.Exec != nil {
-		e := *ro.Exec
-		cp.Exec = &e
-	}
-	return cp
-}
-
-// batchSkeletons mix register holes, memory holes, and the equal-operand
-// seeded-crash trigger, so a batch walk crosses clean runs, compiler
-// crashes, and coverage-bearing paths.
-var batchSkeletons = []string{
-	`
-int main() {
-    int a = 3, b = 5, c = 0;
-    c = a + b * 2;
-    if (c > a) c = c - b;
-    for (a = 0; a < 4; a++) c += a;
-    printf("%d\n", c);
-    return c;
-}
-`,
-	`
-int main() {
-    int a = 1, b = 2;
-    int r = a ? a : b;
-    return r + b;
-}
-`,
-	`
-int g = 2, h = 7;
-int main() {
-    g = g + h;
-    h = g - h;
-    printf("%d %d\n", g, h);
-    return g;
-}
-`,
-}
-
-// TestRunBatchMatchesRunCached drives the same variant sequence through
-// per-variant RunCached calls and one RunBatch per compiler configuration
-// and requires identical per-variant outcomes (including seeded-crash
-// results), identical coverage hit counts, and the documented CacheStats
-// accounting, under both dispatch engines.
-func TestRunBatchMatchesRunCached(t *testing.T) {
-	for si, src := range batchSkeletons {
-		sk := skeleton.MustBuild(src)
-		space, err := spe.NewSpace(sk, spe.Options{Mode: spe.ModeCanonical})
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := sk.NewInstance()
-
-		var fills [][]partition.VarRef
-		total := space.Total()
-		idx := new(big.Int)
-		for j := int64(0); j < 24; j++ {
-			idx.SetInt64(j)
-			if idx.Cmp(total) >= 0 {
-				break
-			}
-			fill, err := space.FillAt(idx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fills = append(fills, fill)
-		}
-
-		for _, ver := range []string{"4.8", "trunk"} {
-			for _, opt := range minicc.OptLevels {
-				label := fmt.Sprintf("skeleton %d %s -O%d", si, ver, opt)
-
-				// baseline: one RunCached per variant on its own cache
-				caA := minicc.NewCache()
-				covA := minicc.NewCoverage()
-				want := make([]*minicc.RunOutcome, len(fills))
-				for i, fill := range fills {
-					if err := in.Instantiate(fill); err != nil {
-						t.Fatal(err)
-					}
-					c := &minicc.Compiler{Version: ver, Opt: opt, Seeded: true, Coverage: covA}
-					ro, err := c.RunCached(caA, in.Program(), in.HoleIdents(), minicc.ExecConfig{}, true)
-					if err != nil {
-						t.Fatalf("%s: variant %d: %v", label, i, err)
-					}
-					want[i] = copyOutcome(ro)
-				}
-
-				for _, dispatch := range []string{minicc.DispatchThreaded, minicc.DispatchSwitch} {
-					caB := minicc.NewCache()
-					covB := minicc.NewCoverage()
-					c := &minicc.Compiler{Version: ver, Opt: opt, Seeded: true, Coverage: covB}
-					if err := in.Instantiate(fills[0]); err != nil {
-						t.Fatal(err)
-					}
-					yielded := 0
-					err := c.RunBatch(caB, in.Program(), in.HoleIdents(), true, len(fills),
-						func(i int) (minicc.ExecConfig, error) {
-							if err := in.Instantiate(fills[i]); err != nil {
-								return minicc.ExecConfig{}, err
-							}
-							return minicc.ExecConfig{Dispatch: dispatch}, nil
-						},
-						func(i int, ro *minicc.RunOutcome) error {
-							yielded++
-							if err := sameOutcome(ro, want[i]); err != nil {
-								return fmt.Errorf("variant %d: %w", i, err)
-							}
-							return nil
-						})
-					if err != nil {
-						t.Fatalf("%s dispatch=%s: %v", label, dispatch, err)
-					}
-					if yielded != len(fills) {
-						t.Fatalf("%s dispatch=%s: yielded %d of %d variants", label, dispatch, yielded, len(fills))
-					}
-					for _, site := range minicc.Sites() {
-						if g, w := covB.SiteCount(site), covA.SiteCount(site); g != w {
-							t.Fatalf("%s dispatch=%s: coverage site %s: batch %d hits, per-variant %d",
-								label, dispatch, site, g, w)
-						}
-					}
-					stats := caB.Stats()
-					if stats.Batches != 1 {
-						t.Errorf("%s dispatch=%s: Batches = %d, want 1", label, dispatch, stats.Batches)
-					}
-					if stats.BatchRuns != int64(len(fills)) {
-						t.Errorf("%s dispatch=%s: BatchRuns = %d, want %d", label, dispatch, stats.BatchRuns, len(fills))
-					}
-					runs := stats.ThreadedRuns
-					other := stats.SwitchRuns
-					if dispatch == minicc.DispatchSwitch {
-						runs, other = other, runs
-					}
-					if runs == 0 {
-						t.Errorf("%s dispatch=%s: no runs counted for the selected engine", label, dispatch)
-					}
-					if other != 0 {
-						t.Errorf("%s dispatch=%s: %d runs counted for the other engine", label, dispatch, other)
+				for _, site := range minicc.Sites() {
+					if g, w := cov.SiteCount(site), baseCov.SiteCount(site); g != w {
+						t.Fatalf("%s: coverage site %s: %d hits, want %d", label, site, g, w)
 					}
 				}
 			}

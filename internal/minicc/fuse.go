@@ -7,7 +7,7 @@ package minicc
 // and leaves the second instruction in the stream — so instruction indices
 // never move: hole→IR patch sites recorded in template coordinates, trace
 // replay offsets, and seeded-crash callsites all stay valid, and patched
-// operand registers are still read live by the fused handlers.
+// operand registers are still read live when a fused pair executes.
 //
 // Fused patterns (greedy, left to right, a consumed instruction never
 // starts another pair):
@@ -23,7 +23,7 @@ package minicc
 // halves of a fused pair. The one cross-instruction coupling is OpCmpBr,
 // whose win depends on Dst == Term.Cond; template building skips it in
 // blocks where a hole patch site can rebind either side independently, and
-// the handler additionally re-checks the identity live at execution time.
+// execInstrN additionally re-checks the identity live at execution time.
 
 // fuseOp returns the fused opcode for an adjacent (a, b) pair, or OpArg
 // (never a valid stream opcode here) when the pair does not fuse.

@@ -68,9 +68,6 @@ const (
 	OpCmpBr      // trailing OpBin comparison feeding this block's TermBr
 )
 
-// numOps sizes the threaded engine's opcode handler table.
-const numOps = int(OpCmpBr) + 1
-
 // Instr is one three-address instruction.
 type Instr struct {
 	Op    Op

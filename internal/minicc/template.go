@@ -63,21 +63,13 @@ type Cache struct {
 // CacheStats counts the cache's template activity: how many IR templates
 // were lowered (once per skeleton per cache), how many compilations were
 // served by trace replay + patch, and how many fell back to a fresh
-// lowering (unsupported templates, '&'-holes, shape changes). It also
-// splits executions by dispatch engine and counts batched runs. Plain
+// lowering (unsupported templates, '&'-holes, shape changes). Plain
 // ints — the cache is single-goroutine — read by the campaign's
 // telemetry once per shard.
 type CacheStats struct {
 	TemplateBuilds int64
 	Replays        int64
 	FreshLowerings int64
-	// ThreadedRuns/SwitchRuns split cached executions by engine.
-	ThreadedRuns int64
-	SwitchRuns   int64
-	// BatchRuns counts runs served through RunBatch; Batches counts the
-	// RunBatch calls themselves.
-	BatchRuns int64
-	Batches   int64
 }
 
 // Sub returns the stats delta since base.
@@ -86,10 +78,6 @@ func (s CacheStats) Sub(base CacheStats) CacheStats {
 		TemplateBuilds: s.TemplateBuilds - base.TemplateBuilds,
 		Replays:        s.Replays - base.Replays,
 		FreshLowerings: s.FreshLowerings - base.FreshLowerings,
-		ThreadedRuns:   s.ThreadedRuns - base.ThreadedRuns,
-		SwitchRuns:     s.SwitchRuns - base.SwitchRuns,
-		BatchRuns:      s.BatchRuns - base.BatchRuns,
-		Batches:        s.Batches - base.Batches,
 	}
 }
 
@@ -130,42 +118,7 @@ func (ca *Cache) template(prog *cc.Program, holes []*cc.Ident) *irTemplate {
 // same prog.
 func (c *Compiler) RunCached(ca *Cache, prog *cc.Program, holes []*cc.Ident, cfg ExecConfig, paranoid bool) (*RunOutcome, error) {
 	tm := ca.template(prog, holes)
-	return c.runOnce(ca, tm, prog, c.bugSet(), cfg, paranoid)
-}
-
-// RunBatch runs n variants of one skeleton through the cached backend,
-// amortizing the per-call setup (bug-set resolution, template lookup)
-// across the whole shard. bind(i) patches the program to variant i — the
-// campaign rebinds holes via the skeleton instance — and returns that
-// variant's execution bounds; yield(i, ro) observes the outcome while the
-// program is still bound to variant i (the outcome aliases cache scratch,
-// exactly as with RunCached). Variants run in ascending order; the first
-// error from bind or yield aborts the batch.
-func (c *Compiler) RunBatch(ca *Cache, prog *cc.Program, holes []*cc.Ident, paranoid bool, n int, bind func(i int) (ExecConfig, error), yield func(i int, ro *RunOutcome) error) error {
 	bugs := c.bugSet()
-	tm := ca.template(prog, holes)
-	ca.stats.Batches++
-	for i := 0; i < n; i++ {
-		cfg, err := bind(i)
-		if err != nil {
-			return err
-		}
-		ro, err := c.runOnce(ca, tm, prog, bugs, cfg, paranoid)
-		if err != nil {
-			return err
-		}
-		ca.stats.BatchRuns++
-		if err := yield(i, ro); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runOnce is the per-variant core shared by RunCached and RunBatch:
-// replay-or-relower, optional paranoid cross-check, optimization passes,
-// execution.
-func (c *Compiler) runOnce(ca *Cache, tm *irTemplate, prog *cc.Program, bugs *BugSet, cfg ExecConfig, paranoid bool) (*RunOutcome, error) {
 	cov := c.Coverage
 	irp, usedTemplate, lerr := lowerFrom(tm, prog, bugs, cov)
 	if usedTemplate {
@@ -217,11 +170,6 @@ func (c *Compiler) runOnce(ca *Cache, tm *irTemplate, prog *cc.Program, bugs *Bu
 	}
 	ro := &RunOutcome{Compile: out}
 	if out.Ok() {
-		if cfg.Dispatch == DispatchSwitch {
-			ca.stats.SwitchRuns++
-		} else {
-			ca.stats.ThreadedRuns++
-		}
 		ro.Exec = executeWith(ca.exec, out.Program, bugs, cov, cfg)
 	}
 	return ro, nil

@@ -15,11 +15,6 @@ type ExecConfig struct {
 	MaxSteps  int64 // default 4,000,000
 	MaxDepth  int   // default 256
 	MaxOutput int   // default 1 MiB
-	// Dispatch selects the execution engine: DispatchThreaded (the
-	// default, a per-opcode handler table) or DispatchSwitch (the
-	// monolithic opcode switch). Both run the same fused code and are
-	// observationally identical down to step counts.
-	Dispatch string
 	// NoFuse skips the lazy superinstruction fusion of not-yet-fused
 	// programs — a benchmark knob isolating what fusion buys. Programs
 	// already fused (template-cached IR) run fused regardless.
@@ -35,9 +30,6 @@ func (c ExecConfig) withDefaults() ExecConfig {
 	}
 	if c.MaxOutput == 0 {
 		c.MaxOutput = 1 << 20
-	}
-	if c.Dispatch == "" {
-		c.Dispatch = DispatchThreaded
 	}
 	return c
 }
@@ -462,7 +454,6 @@ func (m *vm) call(f *Func, args []interp.Value) (interp.Value, bool) {
 		}
 	}
 
-	threaded := m.cfg.Dispatch != DispatchSwitch
 	b := f.Entry
 	for {
 		// one tick per block transition: empty-block cycles (a miscompiled
@@ -470,16 +461,9 @@ func (m *vm) call(f *Func, args []interp.Value) (interp.Value, bool) {
 		// step budget
 		m.tick()
 		ins := b.Instrs
-		if threaded {
-			for i := 0; i < len(ins); {
-				m.tick()
-				i += opHandlers[ins[i].Op](m, f, b, ins, i, regs, vars)
-			}
-		} else {
-			for i := 0; i < len(ins); {
-				m.tick()
-				i += m.execInstrN(f, b, ins, i, regs, vars)
-			}
+		for i := 0; i < len(ins); {
+			m.tick()
+			i += m.execInstrN(f, b, ins, i, regs, vars)
 		}
 		switch b.Term.Kind {
 		case TermJmp:
@@ -546,9 +530,48 @@ func (m *vm) varObj(f *Func, sym *cc.Symbol, vars map[*cc.Symbol]*interp.Object)
 	return nil
 }
 
-// Per-opcode execution bodies, shared verbatim by the switch engine
-// (execInstr) and the threaded handler table (dispatch.go) so the two
-// engines cannot drift.
+// execInstrN is the fused-aware step: it executes the instruction (or
+// fused pair) at ins[i] and returns how many instructions it consumed.
+// The step tick between the halves of a pair keeps step accounting
+// identical to the unfused stream (a timeout at the second half must not
+// mask a trap from the first).
+func (m *vm) execInstrN(f *Func, b *Block, ins []Instr, i int, regs []interp.Value, vars map[*cc.Symbol]*interp.Object) int {
+	in := &ins[i]
+	switch in.Op {
+	case OpConstBin:
+		m.execConst(in, regs)
+		m.tick()
+		m.execBin(&ins[i+1], regs)
+		return 2
+	case OpLoadBin:
+		m.execLoad(in, regs)
+		m.tick()
+		m.execBin(&ins[i+1], regs)
+		return 2
+	case OpConstStore:
+		m.execConst(in, regs)
+		m.tick()
+		m.execStore(&ins[i+1], regs)
+		return 2
+	case OpCmpBr:
+		m.execBin(in, regs)
+		// prime the terminator only when the fusion invariant still holds
+		// live — hole patching can rebind Dst or Term.Cond after fusion,
+		// in which case the terminator falls back to reading the
+		// condition register
+		if in.Dst == b.Term.Cond {
+			m.brReady = true
+			m.brTaken = !regs[in.Dst].IsZero()
+		}
+		return 1
+	default:
+		m.execInstr(f, in, regs, vars)
+		return 1
+	}
+}
+
+// Per-opcode execution bodies, shared by the fused pairs (execInstrN) and
+// the single-instruction switch (execInstr).
 
 func (m *vm) execConst(in *Instr, regs []interp.Value) {
 	switch {

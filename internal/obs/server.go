@@ -19,6 +19,10 @@ type StatusFunc func() interface{}
 // cost lands entirely on the reader.
 const ssePollInterval = 200 * time.Millisecond
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so connections that trickle headers cannot pile up.
+const readHeaderTimeout = 10 * time.Second
+
 // sseKeepalive is the idle-comment interval that keeps proxies from
 // timing out a quiet stream.
 const sseKeepalive = 15 * time.Second
@@ -135,7 +139,8 @@ func Serve(addr string, h http.Handler) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	s := &Server{Addr: ln.Addr().String(), ln: ln, srv: &http.Server{Handler: h}}
+	s := &Server{Addr: ln.Addr().String(), ln: ln,
+		srv: &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}}
 	go s.srv.Serve(ln)
 	return s, nil
 }

@@ -152,6 +152,9 @@ func TestServeEphemeralPort(t *testing.T) {
 	if !strings.Contains(s.Addr, ":") || strings.HasSuffix(s.Addr, ":0") {
 		t.Fatalf("Addr = %q, want a concrete bound port", s.Addr)
 	}
+	if s.srv.ReadHeaderTimeout <= 0 {
+		t.Fatal("server has no ReadHeaderTimeout")
+	}
 	resp, err := http.Get("http://" + s.Addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)

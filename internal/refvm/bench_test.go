@@ -39,8 +39,8 @@ func BenchmarkOracleTree(b *testing.B) {
 }
 
 // BenchmarkOracleBytecode is the bytecode oracle through the template
-// cache (the PR 5 hot path: compile once, patch and run per variant),
-// under the default threaded dispatch with superinstruction fusion.
+// cache (compile once, patch and run per variant) with superinstruction
+// fusion.
 func BenchmarkOracleBytecode(b *testing.B) {
 	progs := benchPrograms(b)
 	ca := NewCache()
@@ -50,20 +50,8 @@ func BenchmarkOracleBytecode(b *testing.B) {
 	}
 }
 
-// BenchmarkOracleBytecodeSwitch is the same workload on the monolithic
-// opcode-switch engine — the A/B partner for the threaded dispatch claim.
-func BenchmarkOracleBytecodeSwitch(b *testing.B) {
-	progs := benchPrograms(b)
-	ca := NewCache()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ca.Run(progs[i%len(progs)], nil, Config{Dispatch: DispatchSwitch})
-	}
-}
-
 // BenchmarkOracleBytecodeNoFuse compiles without the superinstruction
-// pass and runs the switch engine — the PR 5 shape of the oracle, for
-// isolating what fusion alone buys.
+// pass — the A/B partner for isolating what fusion alone buys.
 func BenchmarkOracleBytecodeNoFuse(b *testing.B) {
 	progs := benchPrograms(b)
 	compiled := make([]*program, len(progs))
@@ -72,6 +60,6 @@ func BenchmarkOracleBytecodeNoFuse(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		newVMState().run(compiled[i%len(compiled)], Config{Dispatch: DispatchSwitch})
+		newVMState().run(compiled[i%len(compiled)], Config{})
 	}
 }

@@ -79,18 +79,13 @@ type Cache struct {
 // CacheStats counts the oracle cache's template activity: bytecode
 // templates compiled (once per skeleton per cache), runs served by
 // patching the moved holes in place, runs that fell back to a fresh
-// compilation of the patched tree (type-shape drift), runs by dispatch
-// mode, and batched-execution activity (RunBatch runs and the number of
-// batches they arrived in). Plain ints — the cache is single-goroutine —
-// read by the campaign's telemetry once per shard.
+// compilation of the patched tree (type-shape drift). Plain ints — the
+// cache is single-goroutine — read by the campaign's telemetry once per
+// shard.
 type CacheStats struct {
 	TemplateCompiles int64
 	PatchRuns        int64
 	Fallbacks        int64
-	ThreadedRuns     int64
-	SwitchRuns       int64
-	BatchRuns        int64
-	Batches          int64
 }
 
 // Sub returns the stats delta since base.
@@ -99,10 +94,6 @@ func (s CacheStats) Sub(base CacheStats) CacheStats {
 		TemplateCompiles: s.TemplateCompiles - base.TemplateCompiles,
 		PatchRuns:        s.PatchRuns - base.PatchRuns,
 		Fallbacks:        s.Fallbacks - base.Fallbacks,
-		ThreadedRuns:     s.ThreadedRuns - base.ThreadedRuns,
-		SwitchRuns:       s.SwitchRuns - base.SwitchRuns,
-		BatchRuns:        s.BatchRuns - base.BatchRuns,
-		Batches:          s.Batches - base.Batches,
 	}
 }
 
@@ -124,34 +115,13 @@ func NewCache() *Cache {
 // need no fallback: the oracle has no register promotion to invalidate.
 func (ca *Cache) Run(prog *cc.Program, holes []*cc.Ident, cfg Config) *interp.Result {
 	tm := ca.template(prog, holes)
-	ca.countDispatch(cfg)
-	return ca.runPatched(tm, prog, holes, cfg)
-}
-
-// RunBatch executes n variants of one skeleton on a single checked-out
-// VM without returning pooled state between runs: the template is looked
-// up (or compiled) once, then for each i the caller's bind(i) rebinds
-// the instance's holes in place, the cache re-patches only the moved
-// sites, runs, and hands the Result to yield(i, res). A bind or yield
-// error stops the batch and is returned. Results are caller-owned, like
-// Cache.Run's. This is the campaign worker's shard path: neighboring
-// fills differ in few holes, so per-variant oracle work collapses to a
-// handful of varRef rewrites plus the run itself.
-func (ca *Cache) RunBatch(prog *cc.Program, holes []*cc.Ident, cfg Config, n int,
-	bind func(i int) error, yield func(i int, res *interp.Result) error) error {
-	tm := ca.template(prog, holes)
-	ca.stats.Batches++
-	for i := 0; i < n; i++ {
-		if err := bind(i); err != nil {
-			return err
-		}
-		ca.stats.BatchRuns++
-		ca.countDispatch(cfg)
-		if err := yield(i, ca.runPatched(tm, prog, holes, cfg)); err != nil {
-			return err
-		}
+	if !tm.patch(holes) {
+		// fresh-compile fallback: the patched tree is authoritative
+		ca.stats.Fallbacks++
+		return ca.vm.run(compileProgram(prog, nil), cfg)
 	}
-	return nil
+	ca.stats.PatchRuns++
+	return ca.vm.run(tm.p, cfg)
 }
 
 // template returns prog's cached compilation, compiling it on first use.
@@ -173,26 +143,6 @@ func (ca *Cache) template(prog *cc.Program, holes []*cc.Ident) *template {
 		ca.templates[prog] = tm
 	}
 	return tm
-}
-
-// runPatched patches the moved holes and runs the template, falling back
-// to a fresh compilation when a hole cannot be patched in place.
-func (ca *Cache) runPatched(tm *template, prog *cc.Program, holes []*cc.Ident, cfg Config) *interp.Result {
-	if !tm.patch(holes) {
-		// fresh-compile fallback: the patched tree is authoritative
-		ca.stats.Fallbacks++
-		return ca.vm.run(compileProgram(prog, nil), cfg)
-	}
-	ca.stats.PatchRuns++
-	return ca.vm.run(tm.p, cfg)
-}
-
-func (ca *Cache) countDispatch(cfg Config) {
-	if cfg.Dispatch == DispatchSwitch {
-		ca.stats.SwitchRuns++
-	} else {
-		ca.stats.ThreadedRuns++
-	}
 }
 
 // patch retargets the sites of every hole whose symbol moved since the

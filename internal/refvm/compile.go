@@ -90,8 +90,6 @@ const (
 	opBinopJz      // opBinop + opJz               (a = binop code; next.a = target)
 	opBinopJnz     // opBinop + opJnz              (a = binop code; next.a = target)
 	opConstStore   // opConst + opStoreConv        (a = const;  next.a = conv tidx)
-
-	nOps // count, sizes the threaded handler table
 )
 
 // opIncDec flag bits (instr.b).
@@ -180,15 +178,12 @@ type paramInfo struct {
 	name   int32
 }
 
-// fnCode is one compiled function. handlers is the threaded-dispatch
-// function-pointer table, parallel to code, built once at compile time
-// (specialized per instruction where operand kinds are provable).
+// fnCode is one compiled function.
 type fnCode struct {
-	name     string
-	code     []instr
-	handlers []opFunc
-	params   []paramInfo
-	nslots   int32
+	name   string
+	code   []instr
+	params []paramInfo
+	nslots int32
 }
 
 // program is a compiled translation unit plus its side tables. The varRefs
@@ -367,9 +362,6 @@ func compileProgramOpt(prog *cc.Program, holes []*cc.Ident, noFuse bool) *progra
 		}
 		fuseCode(c.p, c.p.entry)
 	}
-	// handler tables come last: they specialize on the final instruction
-	// stream (post-fusion) and the complete varRefs table.
-	buildHandlers(c.p)
 	return c.p
 }
 

@@ -22,22 +22,12 @@ const (
 	ubNoReturnValue  = int32(interp.UBNoReturnValue)
 )
 
-// Dispatch modes. Both execute the same bytecode (superinstruction fusion
-// happens at compile time, before the mode is chosen) and produce
-// byte-identical Results; switch dispatch is the simpler loop kept as a
-// cross-checking referee and an escape hatch.
-const (
-	DispatchThreaded = "threaded" // function-pointer handler table (default)
-	DispatchSwitch   = "switch"   // monolithic opcode switch
-)
-
 // Config bounds an execution; the defaults match interp.Config so the two
 // oracles agree on every resource verdict.
 type Config struct {
-	MaxSteps  int64  // default 2,000,000
-	MaxDepth  int    // default 256
-	MaxOutput int    // default 1 MiB
-	Dispatch  string // DispatchThreaded (default) or DispatchSwitch
+	MaxSteps  int64 // default 2,000,000
+	MaxDepth  int   // default 256
+	MaxOutput int   // default 1 MiB
 }
 
 func (c Config) withDefaults() Config {
@@ -49,9 +39,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxOutput == 0 {
 		c.MaxOutput = 1 << 20
-	}
-	if c.Dispatch == "" {
-		c.Dispatch = DispatchThreaded
 	}
 	return c
 }
@@ -118,11 +105,6 @@ type vmState struct {
 	exit    int
 	hasRet  bool
 	retVal  Value
-
-	// tfn is the threaded-dispatch loop's current function: call/return
-	// handlers retarget it and the loop reloads its code/handler tables
-	// when it moves (nil = halt). The switch loop ignores it.
-	tfn *fnCode
 }
 
 func newVMState() *vmState {
@@ -192,11 +174,7 @@ func (vm *vmState) run(p *program, cfg Config) (res *interp.Result) {
 		res.Output = string(vm.out)
 		res.Steps = vm.steps
 	}()
-	if vm.cfg.Dispatch == DispatchSwitch {
-		vm.exec()
-	} else {
-		vm.execThreaded()
-	}
+	vm.exec()
 	res.Exit = vm.exit
 	return res
 }
