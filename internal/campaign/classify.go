@@ -242,9 +242,17 @@ func referenceRun(cfg Config, prog *cc.Program, holes []*cc.Ident, be *backendSt
 // the two engines must agree on the whole verdict surface the campaign
 // consumes — UB kind and position, limit presence, abort flag, exit
 // status, stdout bytes, and (for defined runs) the step count that sizes
-// the compiled binary's execution budget.
+// the compiled binary's execution budget. A non-terminating verdict (the
+// bytecode oracle's proof that a loop makes no progress) is the one
+// exception: it passes exactly when the tree's full-budget run is not
+// Defined either.
 func crossCheckOracle(tree, bc *interp.Result) error {
 	switch {
+	case bc.Limit != nil && bc.Limit.NonTerm:
+		if tree.Defined() {
+			return fmt.Errorf("paranoid: oracle divergence: bytecode proved non-termination (%v), tree run is defined", bc.Limit)
+		}
+		return nil
 	case (tree.UB == nil) != (bc.UB == nil):
 		return fmt.Errorf("paranoid: oracle divergence: tree UB %v, bytecode UB %v", tree.UB, bc.UB)
 	case tree.UB != nil:

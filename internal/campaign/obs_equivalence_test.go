@@ -171,6 +171,10 @@ func TestTelemetryCountersMatchReport(t *testing.T) {
 	if got, want := tel.executions.Load(), int64(rep.Stats.Executions); got != want {
 		t.Errorf("spe_executions_total = %d, report has %d", got, want)
 	}
+	// step-limit verdicts are a subset of the filtered variants
+	if limits := tel.refvmNonTerm.Load() + tel.refvmBudget.Load(); limits > int64(rep.Stats.VariantsUB) {
+		t.Errorf("spe_refvm_verdicts_total = %d, more than the %d filtered variants", limits, rep.Stats.VariantsUB)
+	}
 	findings := tel.findingsCrash.Load() + tel.findingsWrong.Load() + tel.findingsPerf.Load()
 	if got, want := findings, int64(len(rep.Findings)); got != want {
 		t.Errorf("spe_findings_total = %d, report has %d findings", got, want)
@@ -188,7 +192,7 @@ func TestTelemetryCountersMatchReport(t *testing.T) {
 	for _, series := range []string{
 		"spe_variants_total", "spe_shard_latency_ms", "spe_findings_total",
 		"spe_stage_ns_total", "spe_space_pool_hits", "spe_backend_pool_hits",
-		"spe_refvm_patch_runs_total", "spe_minicc_replays_total",
+		"spe_refvm_patch_runs_total", "spe_refvm_verdicts_total", "spe_minicc_replays_total",
 	} {
 		if !strings.Contains(scrape, series) {
 			t.Errorf("/metrics scrape missing %s", series)

@@ -87,8 +87,15 @@ func TestOracleParanoid(t *testing.T) {
 	cfg.Oracle = OracleBytecode
 	cfg.Paranoid = true
 	cfg.Workers = 2
+	tel := NewTelemetry()
+	cfg.Telemetry = tel
 	if got := mustRun(t, cfg).Format(); got != want {
 		t.Errorf("paranoid bytecode report diverges:\n--- paranoid ---\n%s--- tree ---\n%s", got, want)
+	}
+	// the corpus has loops that make no progress: each proof was
+	// cross-checked against a full-budget tree run
+	if n := tel.refvmNonTerm.Load(); n == 0 || tel.paranoidChecks.Load() < n {
+		t.Errorf("%d non-terminating verdicts, %d paranoid checks: want proofs, all checked", n, tel.paranoidChecks.Load())
 	}
 }
 

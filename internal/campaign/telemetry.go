@@ -56,6 +56,8 @@ type Telemetry struct {
 	refvmCompiles        *obs.Counter
 	refvmPatchRuns       *obs.Counter
 	refvmFallbacks       *obs.Counter
+	refvmNonTerm         *obs.Counter
+	refvmBudget          *obs.Counter
 
 	costNsPerVariant *obs.Gauge
 	reorderPending   *obs.Gauge
@@ -128,6 +130,8 @@ func NewTelemetry() *Telemetry {
 		refvmCompiles:        reg.Counter("spe_refvm_template_compiles_total", "refvm bytecode templates compiled (once per skeleton per cache)."),
 		refvmPatchRuns:       reg.Counter("spe_refvm_patch_runs_total", "Oracle runs served by patching moved holes in cached bytecode."),
 		refvmFallbacks:       reg.Counter("spe_refvm_fallbacks_total", "Oracle runs that fell back to a fresh bytecode compilation."),
+		refvmNonTerm:         reg.Counter("spe_refvm_verdicts_total", "Oracle step-limit verdicts by class.", obs.L("class", "nonterm")),
+		refvmBudget:          reg.Counter("spe_refvm_verdicts_total", "Oracle step-limit verdicts by class.", obs.L("class", "budget")),
 
 		costNsPerVariant: reg.Gauge("spe_cost_ns_per_variant", "EWMA per-variant wall-clock cost model (adaptive shard sizing)."),
 		reorderPending:   reg.Gauge("spe_reorder_pending_shards", "Shard results buffered awaiting in-order merge."),
@@ -317,6 +321,8 @@ func (t *Telemetry) observeMerge(r *taskResult) {
 		t.refvmCompiles.Add(so.refvm.TemplateCompiles)
 		t.refvmPatchRuns.Add(so.refvm.PatchRuns)
 		t.refvmFallbacks.Add(so.refvm.Fallbacks)
+		t.refvmNonTerm.Add(so.refvm.NonTermRuns)
+		t.refvmBudget.Add(so.refvm.BudgetRuns)
 	}
 }
 

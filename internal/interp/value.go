@@ -71,8 +71,14 @@ func (e *UBError) Error() string {
 }
 
 // LimitError reports resource exhaustion (step budget or stack depth);
-// not undefined behavior, but execution cannot continue.
-type LimitError struct{ Msg string }
+// not undefined behavior, but execution cannot continue. NonTerm marks a
+// limit reached by proof rather than by exhaustion: the bytecode oracle
+// (internal/refvm) stops a run once it has shown that a loop can make no
+// progress, so the run could never have ended with a Defined verdict.
+type LimitError struct {
+	Msg     string
+	NonTerm bool
+}
 
 func (e *LimitError) Error() string { return "resource limit: " + e.Msg }
 

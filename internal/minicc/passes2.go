@@ -345,7 +345,12 @@ func licm(f *Func, p *passCtx) {
 		hoisted := true
 		for hoisted {
 			hoisted = false
-			for b := range lp.body {
+			// block order, not map order: the preheader's instruction
+			// order must not vary from one compile to the next
+			for _, b := range f.Blocks {
+				if !lp.body[b] {
+					continue
+				}
 				kept := b.Instrs[:0]
 				for i := range b.Instrs {
 					in := b.Instrs[i]

@@ -20,7 +20,18 @@
 // so even Steps must match for reports to stay byte-identical across
 // oracles). UB message text is matched on a best-effort basis; the
 // structured fields are the contract, pinned by the package's
-// corpus-wide differential tests.
+// corpus-wide differential tests and FuzzOracleAgreement.
+//
+// The contract has one exception. A run that passes a fixed step
+// checkpoint tries to prove that it is stuck in a loop that makes no
+// progress (nonterm.go), and stops with an interp.LimitError marked
+// NonTerm once the proof holds. The tree interpreter never returns that
+// verdict; it is accepted exactly when the tree's full-budget result is
+// not Defined() either. Everything that reads the verdict — the
+// campaign's UB filter, the report — only asks Defined(), so it
+// classifies the variant exactly as the budgeted run did. Every other
+// result keeps exact agreement, Steps included, and -paranoid checks each
+// proof against a full-budget tree run.
 //
 // Concurrency and ownership: package-level Run is safe from any goroutine
 // (private compile + private machine per call). A Cache is strictly
@@ -79,13 +90,17 @@ type Cache struct {
 // CacheStats counts the oracle cache's template activity: bytecode
 // templates compiled (once per skeleton per cache), runs served by
 // patching the moved holes in place, runs that fell back to a fresh
-// compilation of the patched tree (type-shape drift). Plain ints — the
-// cache is single-goroutine — read by the campaign's telemetry once per
-// shard.
+// compilation of the patched tree (type-shape drift). NonTermRuns and
+// BudgetRuns split the runs that hit the step limit: proven
+// non-terminating near the checkpoint, or run out to the full budget.
+// Plain ints — the cache is single-goroutine — read by the campaign's
+// telemetry once per shard.
 type CacheStats struct {
 	TemplateCompiles int64
 	PatchRuns        int64
 	Fallbacks        int64
+	NonTermRuns      int64
+	BudgetRuns       int64
 }
 
 // Sub returns the stats delta since base.
@@ -94,6 +109,8 @@ func (s CacheStats) Sub(base CacheStats) CacheStats {
 		TemplateCompiles: s.TemplateCompiles - base.TemplateCompiles,
 		PatchRuns:        s.PatchRuns - base.PatchRuns,
 		Fallbacks:        s.Fallbacks - base.Fallbacks,
+		NonTermRuns:      s.NonTermRuns - base.NonTermRuns,
+		BudgetRuns:       s.BudgetRuns - base.BudgetRuns,
 	}
 }
 
@@ -115,13 +132,23 @@ func NewCache() *Cache {
 // need no fallback: the oracle has no register promotion to invalidate.
 func (ca *Cache) Run(prog *cc.Program, holes []*cc.Ident, cfg Config) *interp.Result {
 	tm := ca.template(prog, holes)
-	if !tm.patch(holes) {
+	p := tm.p
+	if tm.patch(holes) {
+		ca.stats.PatchRuns++
+	} else {
 		// fresh-compile fallback: the patched tree is authoritative
 		ca.stats.Fallbacks++
-		return ca.vm.run(compileProgram(prog, nil), cfg)
+		p = compileProgram(prog, nil)
 	}
-	ca.stats.PatchRuns++
-	return ca.vm.run(tm.p, cfg)
+	res := ca.vm.run(p, cfg)
+	switch {
+	case res.Limit == nil:
+	case res.Limit.NonTerm:
+		ca.stats.NonTermRuns++
+	case res.Steps > ca.vm.cfg.MaxSteps:
+		ca.stats.BudgetRuns++
+	}
+	return res
 }
 
 // template returns prog's cached compilation, compiling it on first use.

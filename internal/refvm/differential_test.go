@@ -16,8 +16,17 @@ import (
 // the structured verdict surface the campaign consumes: output bytes,
 // exit status, abort flag, UB kind+position, limit presence, and — for
 // defined runs — the step count (the campaign derives the compiled
-// binary's execution budget from it).
+// binary's execution budget from it). The one exception is a
+// non-terminating verdict, which the tree interpreter never returns: it
+// is accepted exactly when the tree's full-budget result is not Defined.
 func diff(tree, bc *interp.Result) error {
+	if bc.Limit != nil && bc.Limit.NonTerm {
+		if tree.Defined() {
+			return fmt.Errorf("bytecode proved non-termination (%v), tree run is defined (exit %d, %d steps)",
+				bc.Limit, tree.Exit, tree.Steps)
+		}
+		return nil
+	}
 	if (tree.UB == nil) != (bc.UB == nil) {
 		return fmt.Errorf("UB presence: tree %v, bytecode %v", tree.UB, bc.UB)
 	}

@@ -105,6 +105,13 @@ type vmState struct {
 	exit    int
 	hasRet  bool
 	retVal  Value
+
+	// stepLimit and depthLimit are what the exec loop's step and call
+	// checks compare against; their slow paths (stepTrap, callTrap) apply
+	// the real budgets and drive the non-termination proof (nonterm.go).
+	stepLimit  int64
+	depthLimit int
+	nt         ntState
 }
 
 func newVMState() *vmState {
@@ -148,6 +155,9 @@ func (vm *vmState) reset(p *program, cfg Config) {
 	vm.exit = 0
 	vm.hasRet = false
 	vm.retVal = Value{}
+	vm.stepLimit = min(cfg.MaxSteps, nonTermCheckpoint)
+	vm.depthLimit = cfg.MaxDepth
+	vm.nt.phase = ntIdle
 }
 
 // run executes the compiled program, producing the same Result the
@@ -317,8 +327,8 @@ func (vm *vmState) exec() {
 		in := &code[pc]
 		if in.step != 0 {
 			vm.steps += int64(in.step)
-			if vm.steps > vm.cfg.MaxSteps {
-				vm.limit("step budget exhausted at %s", vm.pos(in.pos))
+			if vm.steps > vm.stepLimit {
+				vm.stepTrap(pc, in.pos)
 			}
 		}
 		switch in.op {
@@ -538,8 +548,8 @@ func (vm *vmState) exec() {
 
 		case opCallV, opCallD:
 			fn2 := vm.p.fns[in.a]
-			if len(vm.frames)-1 >= vm.cfg.MaxDepth {
-				vm.limit("call depth exceeded at %s", vm.pos(in.pos))
+			if len(vm.frames)-1 >= vm.depthLimit {
+				vm.callTrap(in.pos)
 			}
 			nargs := int(in.b)
 			argBase := len(vm.stack) - nargs
