@@ -303,7 +303,7 @@ type PlanInfo struct {
 	// walked at all).
 	Skipped bool
 	// Regions is how many scheduling regions the file's walk was cut into
-	// (spe.Space.RegionCuts; 1 means one opaque region). Advisory dispatch
+	// (spe.RegionCuts; 1 means one opaque region). Advisory dispatch
 	// metadata — task identity and findings never depend on it.
 	Regions int
 }

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"spe/internal/corpus"
@@ -95,6 +96,22 @@ func TestCorpusErrorPropagates(t *testing.T) {
 		})
 		if err == nil {
 			t.Fatalf("workers=%d: campaign over malformed corpus succeeded", workers)
+		}
+	}
+	// Two malformed files: index 1 fails only after a whole seed has been
+	// parsed, index 3 at its first tokens, so parallel planning is likely
+	// to see index 3 fail first. The error must still name the first
+	// failing file in corpus order, whatever the worker count.
+	seeds := corpus.Seeds()
+	bad := []string{seeds[0], seeds[1] + "\nint main( {", seeds[2], "int main( {", seeds[3]}
+	for _, workers := range []int{1, 4} {
+		cfg := Config{Corpus: bad, Workers: workers, MaxVariantsPerFile: 5}
+		_, runErr := Run(cfg)
+		_, planErr := NewPlanner(cfg)
+		for name, err := range map[string]error{"Run": runErr, "NewPlanner": planErr} {
+			if err == nil || !strings.Contains(err.Error(), "corpus[1]") {
+				t.Errorf("workers=%d %s: error %v, want one naming corpus[1]", workers, name, err)
+			}
 		}
 	}
 }

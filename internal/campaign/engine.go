@@ -58,13 +58,15 @@ func runEngine(ctx context.Context, cfg Config, st *aggState) (*Report, error) {
 	// the task sequence is derived up front (it is a pure function of the
 	// config) so the scheduler can prioritize over the whole campaign;
 	// tasks the checkpoint has already merged are excluded at startSeq
+	planStart := time.Now()
 	all, err := buildAllTasks(cfg)
 	if err != nil {
 		return nil, err
 	}
+	planTime := time.Since(planStart)
 	sched := newScheduler(cfg, all, st.nextSeq, st.steer)
 	tel := cfg.Telemetry
-	tel.campaignStarted(cfg, all, st.nextSeq)
+	tel.campaignStarted(cfg, all, st.nextSeq, planTime)
 	tel.attachRegions(cfg, sched)
 	st.tel = tel
 
@@ -104,6 +106,7 @@ func runEngine(ctx context.Context, cfg Config, st *aggState) (*Report, error) {
 			if !ok {
 				return // everything dispatched; the spare credit is moot
 			}
+			t.plan.begin()
 			batch := []*task{t}
 			if target := sched.targetNs(); target > 0 {
 				spent := sched.predictNs(t)
@@ -119,6 +122,7 @@ func runEngine(ctx context.Context, cfg Config, st *aggState) (*Report, error) {
 						spent = target // drained; the spare credit is moot
 						continue
 					}
+					t2.plan.begin()
 					batch = append(batch, t2)
 					spent += sched.predictNs(t2)
 				}
@@ -127,6 +131,9 @@ func runEngine(ctx context.Context, cfg Config, st *aggState) (*Report, error) {
 			select {
 			case batches <- batch:
 			case <-ctx.Done():
+				for _, t := range batch {
+					t.plan.end()
+				}
 				return
 			}
 		}
@@ -141,6 +148,7 @@ func runEngine(ctx context.Context, cfg Config, st *aggState) (*Report, error) {
 			for batch := range batches {
 				for _, t := range batch {
 					if ctx.Err() != nil {
+						t.plan.end()
 						continue // drain
 					}
 					select {
@@ -255,7 +263,12 @@ func runEngine(ctx context.Context, cfg Config, st *aggState) (*Report, error) {
 // variant, and minicc compiles through the file's IR-template cache (lower
 // once per skeleton, patch the hole-dependent IR sites per fill). With
 // Config.NoBackendReuse both backends run cold, byte-identically.
+//
+// The caller marks the task dispatched with t.plan.begin(); runTask ends
+// it on return, which releases the file's counting tables once none of its
+// tasks is in flight.
 func runTask(ctx context.Context, cfg Config, t *task) *taskResult {
+	defer t.plan.end()
 	res := &taskResult{seq: t.seq, plan: t.plan, newFile: t.newFile, region: t.region}
 	if t.plan.skip {
 		return res

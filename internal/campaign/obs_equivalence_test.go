@@ -193,15 +193,31 @@ func TestTelemetryCountersMatchReport(t *testing.T) {
 		"spe_variants_total", "spe_shard_latency_ms", "spe_findings_total",
 		"spe_stage_ns_total", "spe_space_pool_hits", "spe_backend_pool_hits",
 		"spe_refvm_patch_runs_total", "spe_refvm_verdicts_total", "spe_minicc_replays_total",
+		"spe_space_table_builds", "spe_plan_seconds",
 	} {
 		if !strings.Contains(scrape, series) {
 			t.Errorf("/metrics scrape missing %s", series)
 		}
 	}
 
+	// every walked file counts its tables at least once; a file whose
+	// tasks were all released between dispatches counts them again
+	walked := int64(0)
+	for _, pi := range rep.Plans {
+		if !pi.Skipped && pi.Tested > 0 {
+			walked++
+		}
+	}
+	if _, _, builds := tel.spacePoolStats(); builds < walked {
+		t.Errorf("spe_space_table_builds = %d, fewer than the %d walked files", builds, walked)
+	}
+
 	st := tel.Status()
 	if st.Running {
 		t.Error("status still running after campaign completed")
+	}
+	if st.PlanSeconds <= 0 {
+		t.Errorf("status plan_seconds = %v, want > 0", st.PlanSeconds)
 	}
 	if st.CompletedVariants != int64(rep.Stats.Variants) {
 		t.Errorf("status completed_variants = %d, report has %d", st.CompletedVariants, rep.Stats.Variants)

@@ -90,14 +90,20 @@ type filePlan struct {
 	clamped   bool
 	tested    int64 // number of enumerated variants tested
 	// pool shares the file's enumeration across shard workers: each worker
-	// checks out a private spe.Space (ranker memo tables + AST template
-	// instances) and returns it when its shard completes.
+	// checks out a private spe.Space (AST template instances and the
+	// delta-unranking cache) over the file's shared counting tables and
+	// returns it when its shard completes.
 	pool *spe.Pool
+	// inflight counts the file's tasks dispatched and not yet finished in
+	// this process (see begin/end); the pool's tables are released
+	// whenever it drops to zero, so memory stays bounded by the files in
+	// flight.
+	inflight atomic.Int32
 	// backends pools the per-worker execution backends the same way (nil
 	// when Config.NoBackendReuse disables reuse).
 	backends *backendPool
 	// regionStarts are the sorted tested-space start positions of the
-	// file's scheduling regions (spe.Space.RegionCuts): contiguous
+	// file's scheduling regions (spe.RegionCuts): contiguous
 	// hole-group ranges the region scheduler scores independently. Nil or
 	// single-element means the file is one opaque region. Regions are
 	// advisory scheduling metadata only — task identity, seq numbers, and
@@ -109,6 +115,18 @@ type filePlan struct {
 // is cut into, keeping per-region score/frontier state small even for
 // very large multi-function files.
 const maxRegionsPerFile = 16
+
+// begin marks one of the file's tasks dispatched in this process; end,
+// called once the task has run (or been abandoned), undoes it. The last
+// end releases the pool's shared tables: a Get that raced ahead of the
+// release still holds its own reference, and a later Get rebuilds them.
+func (p *filePlan) begin() { p.inflight.Add(1) }
+
+func (p *filePlan) end() {
+	if p.inflight.Add(-1) == 0 && p.pool != nil {
+		p.pool.Release()
+	}
+}
 
 // regions returns how many scheduling regions the plan has (>= 1).
 func (p *filePlan) regions() int {
@@ -160,19 +178,21 @@ func buildPlan(cfg Config, seedIdx int, src string) (*filePlan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: corpus[%d]: %w", seedIdx, err)
 	}
-	opts := spe.Options{Mode: spe.ModeCanonical, Granularity: cfg.Granularity}
+	// one forward DP per problem sizes the plan and cuts its regions; the
+	// pool builds the unranking tables later, on the file's first Get
+	canonical, perFunc := spe.CanonicalCounts(sk, cfg.Granularity)
 	plan := &filePlan{
 		seedIdx:   seedIdx,
 		src:       src,
 		sk:        sk,
-		canonical: spe.Count(sk, opts),
+		canonical: canonical,
 		naive:     spe.Count(sk, spe.Options{Mode: spe.ModeNaive, Granularity: cfg.Granularity}),
 	}
 	if cfg.Threshold > 0 && plan.canonical.Cmp(big.NewInt(cfg.Threshold)) > 0 {
 		plan.skip = true
 		return plan, nil
 	}
-	plan.pool, err = spe.NewPool(sk, opts)
+	plan.pool, err = spe.NewPool(sk, spe.Options{Mode: spe.ModeCanonical, Granularity: cfg.Granularity})
 	if err != nil {
 		return nil, fmt.Errorf("campaign: corpus[%d]: %w", seedIdx, err)
 	}
@@ -220,9 +240,7 @@ func buildPlan(cfg Config, seedIdx int, src string) (*filePlan, error) {
 		plan.tested = ceil.Int64()
 	}
 	if plan.tested > 1 {
-		sp := plan.pool.Get()
-		plan.regionStarts = sp.RegionCuts(plan.stride, plan.tested, maxRegionsPerFile)
-		plan.pool.Put(sp)
+		plan.regionStarts = spe.RegionCuts(perFunc, plan.stride, plan.tested, maxRegionsPerFile)
 	}
 	return plan, nil
 }
@@ -231,18 +249,31 @@ func buildPlan(cfg Config, seedIdx int, src string) (*filePlan, error) {
 // task sequence with global seq numbers. The sequence is a pure function
 // of Config — dispatch policy, adaptive batching, and resume never change
 // task identity, which is what keeps checkpoints and the deterministic
-// merge stable across schedules.
+// merge stable across schedules. Files are planned on cfg.Workers
+// goroutines; seq numbers and the reported error (the first failing file
+// in corpus order) do not depend on which finishes first.
 func buildAllTasks(cfg Config) ([]*task, error) {
+	plans := make([]*filePlan, len(cfg.Corpus))
+	errs := make([]error, len(cfg.Corpus))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < cfg.Workers && w < len(cfg.Corpus); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(cfg.Corpus); i = int(next.Add(1) - 1) {
+				plans[i], errs[i] = buildPlan(cfg, i, cfg.Corpus[i])
+			}
+		}()
+	}
+	wg.Wait()
 	var out []*task
-	seq := 0
-	for seedIdx, src := range cfg.Corpus {
-		plan, err := buildPlan(cfg, seedIdx, src)
-		if err != nil {
-			return nil, err
+	for i, plan := range plans {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
 		for _, t := range plan.tasks(cfg) {
-			t.seq = seq
-			seq++
+			t.seq = len(out)
 			out = append(out, t)
 		}
 	}

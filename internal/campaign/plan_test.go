@@ -1,12 +1,14 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"strings"
 	"testing"
 
 	"spe/internal/corpus"
+	"spe/internal/spe"
 )
 
 // clampSeed has a canonical variant count large enough that a small
@@ -141,5 +143,78 @@ func TestPlansSurviveResumeDerivation(t *testing.T) {
 	}
 	if rep.Plans[0] != plan.info() {
 		t.Errorf("report plan %+v diverges from derived plan %+v", rep.Plans[0], plan.info())
+	}
+}
+
+// TestCampaignReleasesCountTables asserts no file keeps its counting
+// tables once its tasks are done: after Run returns (fifo and region
+// dispatch, one and four workers) and after a Planner has run every task
+// by spec, no pool holds tables, and every walked file built them.
+func TestCampaignReleasesCountTables(t *testing.T) {
+	base := Config{
+		Corpus:             corpus.Seeds()[:6],
+		Versions:           []string{"trunk"},
+		MaxVariantsPerFile: 40,
+		ShardSize:          8,
+	}
+	check := func(name string, pools []*spe.Pool) {
+		t.Helper()
+		if len(pools) == 0 {
+			t.Fatalf("%s: no pools to check", name)
+		}
+		for i, p := range pools {
+			_, _, before := p.Stats()
+			if before == 0 {
+				t.Errorf("%s: pool %d never built its tables", name, i)
+			}
+			// a pool that released its tables builds them again
+			p.Put(p.Get())
+			if _, _, after := p.Stats(); after != before+1 {
+				t.Errorf("%s: pool %d still holds its counting tables", name, i)
+			}
+		}
+	}
+	for _, schedule := range []string{ScheduleFIFO, ScheduleRegion} {
+		for _, workers := range []int{1, 4} {
+			cfg := base
+			cfg.Schedule = schedule
+			cfg.Workers = workers
+			tel := NewTelemetry()
+			cfg.Telemetry = tel
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("Run schedule=%s workers=%d", schedule, workers), tel.pools)
+		}
+	}
+
+	pl, err := NewPlanner(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pools []*spe.Pool
+	for _, tk := range pl.bySeq {
+		if _, err := pl.RunSpec(context.Background(), specOf(tk)); err != nil {
+			t.Fatal(err)
+		}
+		if tk.newFile && tk.plan.pool != nil {
+			pools = append(pools, tk.plan.pool)
+		}
+	}
+	check("Planner.RunSpec", pools)
+}
+
+// BenchmarkPlanCorpus measures planning alone — parse, analyze,
+// skeletonize and count every file on the configured workers — over the
+// bundled seeds plus 60 generated files.
+func BenchmarkPlanCorpus(b *testing.B) {
+	files := append(corpus.Seeds(), corpus.Generate(corpus.Config{N: 60, Seed: 20170625})...)
+	cfg := Config{Corpus: files, Versions: []string{"trunk"}, MaxVariantsPerFile: 50}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewPlanner(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

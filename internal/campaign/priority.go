@@ -28,7 +28,7 @@ import (
 // makes coverage grow much faster than grinding files in order.
 // ScheduleRegion applies the identical model one level deeper: each file's
 // walk is cut into regions (contiguous hole-group ranges sharing one
-// function's filling, spe.Space.RegionCuts), and the (seed, region) pair
+// function's filling, spe.RegionCuts), and the (seed, region) pair
 // becomes the scoring unit, so a large multi-function file steers
 // internally instead of draining as one opaque block. The EWMA cost model
 // and the coverage frontier also go per-region under this policy (with the

@@ -105,7 +105,10 @@ func (c Config) validate() error {
 // skeletonize, pool — each corpus file once), plus RunSpec to execute any
 // task by its TaskSpec through the exact code path in-process workers use
 // (pooled Spaces and backends, paranoid cross-checks). Planners are safe for concurrent RunSpec calls: per-task
-// mutable state is checked out of the per-file pools.
+// mutable state is checked out of the per-file pools. A file's counting
+// tables are built by its first RunSpec and released when no RunSpec of
+// that file is running, so a long-lived worker holds only the tables of
+// the files it is executing.
 type Planner struct {
 	cfg   Config
 	bySeq []*task
@@ -145,6 +148,7 @@ func (p *Planner) RunSpec(ctx context.Context, spec TaskSpec) (*ShardResult, err
 	if got := specOf(t); got != spec {
 		return nil, fmt.Errorf("campaign: remote task %d does not match the local plan (coordinator %+v, local %+v): corpus or config drift", spec.Seq, spec, got)
 	}
+	t.plan.begin()
 	r := runTask(ctx, p.cfg, t)
 	if r.err != nil {
 		return nil, r.err
@@ -236,10 +240,12 @@ func newRemoteEngine(cfg Config, st *aggState) (*RemoteEngine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	planStart := time.Now()
 	all, err := buildAllTasks(cfg)
 	if err != nil {
 		return nil, err
 	}
+	planTime := time.Since(planStart)
 	e := &RemoteEngine{
 		cfg:     cfg,
 		all:     all,
@@ -250,7 +256,7 @@ func newRemoteEngine(cfg Config, st *aggState) (*RemoteEngine, error) {
 		issued:  make(map[int]bool),
 	}
 	st.tel = e.tel
-	e.tel.campaignStarted(cfg, all, st.nextSeq)
+	e.tel.campaignStarted(cfg, all, st.nextSeq, planTime)
 	e.tel.attachRegions(cfg, e.sched)
 	return e, nil
 }

@@ -79,12 +79,14 @@ type Telemetry struct {
 
 	plannedVariants *obs.Gauge
 	resumedVariants *obs.Gauge
+	planSeconds     *obs.Gauge
 
 	// mu guards the campaign-scoped progress state below; it is touched
 	// once per campaign start plus once per coverage point, never on the
 	// per-variant hot path.
 	mu        sync.Mutex
 	start     time.Time
+	planTime  time.Duration
 	workers   int
 	planned   int64
 	resumed   int64
@@ -153,14 +155,19 @@ func NewTelemetry() *Telemetry {
 
 		plannedVariants: reg.Gauge("spe_campaign_planned_variants", "Variants the current campaign will test in total."),
 		resumedVariants: reg.Gauge("spe_campaign_resumed_variants", "Variants restored from the checkpoint at resume."),
+		planSeconds:     reg.Gauge("spe_plan_seconds", "Wall-clock time the current campaign spent planning its corpus, seconds."),
 	}
 	t.reg.GaugeFunc("spe_space_pool_hits", "spe.Space pool checkouts served by a recycled Space.", func() float64 {
-		h, _ := t.spacePoolStats()
+		h, _, _ := t.spacePoolStats()
 		return float64(h)
 	})
-	t.reg.GaugeFunc("spe_space_pool_misses", "spe.Space pool checkouts that built a fresh Space.", func() float64 {
-		_, m := t.spacePoolStats()
+	t.reg.GaugeFunc("spe_space_pool_misses", "spe.Space pool checkouts that allocated a fresh Space over the file's shared counting tables.", func() float64 {
+		_, m, _ := t.spacePoolStats()
 		return float64(m)
+	})
+	t.reg.GaugeFunc("spe_space_table_builds", "Per-file counting-table (ranker) builds; a file rebuilds after its tables were released.", func() float64 {
+		_, _, b := t.spacePoolStats()
+		return float64(b)
 	})
 	t.reg.GaugeFunc("spe_backend_pool_hits", "backendState pool checkouts served by a recycled state.", func() float64 {
 		h, _ := t.backendPoolStats()
@@ -187,18 +194,20 @@ func (t *Telemetry) Handler() http.Handler {
 	return obs.Handler(t.reg, t.ring, func() interface{} { return t.Status() })
 }
 
-// spacePoolStats sums hit/miss counters across the current campaign's
-// spe.Space pools (scrape-time collection; zero hot-path mirroring).
-func (t *Telemetry) spacePoolStats() (hits, misses int64) {
+// spacePoolStats sums hit/miss/table-build counters across the current
+// campaign's spe.Space pools (scrape-time collection; zero hot-path
+// mirroring).
+func (t *Telemetry) spacePoolStats() (hits, misses, builds int64) {
 	t.mu.Lock()
 	pools := t.pools
 	t.mu.Unlock()
 	for _, p := range pools {
-		h, m := p.Stats()
+		h, m, b := p.Stats()
 		hits += h
 		misses += m
+		builds += b
 	}
-	return hits, misses
+	return hits, misses, builds
 }
 
 // backendPoolStats is spacePoolStats for the backendState pools.
@@ -216,8 +225,9 @@ func (t *Telemetry) backendPoolStats() (hits, misses int64) {
 
 // campaignStarted records the new campaign's shape: planned and
 // already-merged (resumed) variant totals, the worker count the ETA
-// model divides by, and the pools the scrape-time gauges read.
-func (t *Telemetry) campaignStarted(cfg Config, all []*task, startSeq int) {
+// model divides by, the pools the scrape-time gauges read, and how long
+// planning the corpus took.
+func (t *Telemetry) campaignStarted(cfg Config, all []*task, startSeq int, planTime time.Duration) {
 	if t == nil {
 		return
 	}
@@ -244,6 +254,7 @@ func (t *Telemetry) campaignStarted(cfg Config, all []*task, startSeq int) {
 	}
 	t.mu.Lock()
 	t.start = time.Now()
+	t.planTime = planTime
 	t.workers = cfg.Workers
 	t.planned = planned
 	t.resumed = resumed
@@ -254,6 +265,7 @@ func (t *Telemetry) campaignStarted(cfg Config, all []*task, startSeq int) {
 	t.mu.Unlock()
 	t.plannedVariants.Set(float64(planned))
 	t.resumedVariants.Set(float64(resumed))
+	t.planSeconds.Set(planTime.Seconds())
 	t.ring.Publish("campaign", map[string]interface{}{
 		"state":            "started",
 		"planned_variants": planned,
@@ -455,6 +467,9 @@ type Status struct {
 	// it falls back to the observed throughput.
 	ETASeconds       float64 `json:"eta_seconds"`
 	CostNsPerVariant float64 `json:"cost_ns_per_variant"`
+	// PlanSeconds is the wall-clock time spent planning the corpus
+	// (parse, analyze, skeletonize, count) before dispatch began.
+	PlanSeconds float64 `json:"plan_seconds"`
 
 	Findings struct {
 		Crash       int64 `json:"crash"`
@@ -482,6 +497,7 @@ type Status struct {
 func (t *Telemetry) Status() Status {
 	t.mu.Lock()
 	start := t.start
+	planTime := t.planTime
 	workers := t.workers
 	planned := t.planned
 	resumed := t.resumed
@@ -506,6 +522,7 @@ func (t *Telemetry) Status() Status {
 		s.VariantsPerSec = float64(s.CompletedVariants-resumed) / s.ElapsedSeconds
 	}
 	s.CostNsPerVariant = t.costNsPerVariant.Load()
+	s.PlanSeconds = planTime.Seconds()
 	remaining := planned - s.CompletedVariants
 	if remaining > 0 {
 		if s.CostNsPerVariant > 0 && workers > 0 {

@@ -44,16 +44,11 @@ func TestRegionsSeedShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := spe.NewSpace(sk, spe.Options{Mode: spe.ModeCanonical})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := sp.Total()
-	t.Logf("canonical fillings: %s, per function: %v", total, sp.FuncCounts())
+	total, counts := spe.CanonicalCounts(sk, spe.Intra)
+	t.Logf("canonical fillings: %s, per function: %v", total, counts)
 	if total.Cmp(big.NewInt(1000)) < 0 {
 		t.Fatalf("canonical count %s too small for a meaningful strided walk", total)
 	}
-	counts := sp.FuncCounts()
 	if last := counts[len(counts)-1]; last.Cmp(big.NewInt(1)) != 0 {
 		t.Fatalf("main enumerates %s fillings, want exactly 1 (it must not dilute sel's digit)", last)
 	}
@@ -77,7 +72,7 @@ func TestRegionsSeedShape(t *testing.T) {
 	if ceil.Cmp(big.NewInt(budget)) < 0 {
 		tested = ceil.Int64()
 	}
-	cuts := sp.RegionCuts(stride, tested, 16)
+	cuts := spe.RegionCuts(counts, stride, tested, 16)
 	t.Logf("stride=%d tested=%d cuts=%v", stride, tested, cuts)
 	if len(cuts) < 4 {
 		t.Fatalf("RegionCuts = %v (%d regions); want at least 4 for the schedule benchmark to steer", cuts, len(cuts))

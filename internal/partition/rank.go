@@ -15,10 +15,14 @@ import (
 // The machinery is the counting side of the paper's Algorithm 1 turned into
 // a positional number system: the number of canonical completions of a
 // suffix of holes depends only on the per-group used-variable counts, so a
-// memoized suffix count plays the role the Stirling/product arithmetic
-// plays in CanonicalCount, and ranking is digit extraction against those
-// counts. All big.Int values returned by suffix counting are shared with
-// the memo table and must not be mutated by callers.
+// suffix-count table plays the role the Stirling/product arithmetic plays
+// in CanonicalCount, and ranking is digit extraction against those counts.
+//
+// NewRanker fills the table for every profile a canonical prefix can reach,
+// and nothing writes to it afterwards, so one Ranker is safe to share
+// across goroutines: Rank, Unrank, EachFrom and Count only read it. All
+// big.Int values returned by suffix counting are shared with the table and
+// must not be mutated by callers.
 type Ranker struct {
 	p *Problem
 	// memo[i][usedKey] is the number of canonical completions of holes
@@ -26,14 +30,15 @@ type Ranker struct {
 	memo []map[string]*big.Int
 }
 
-// NewRanker validates the problem and prepares an empty memo table. The
-// table fills lazily; a Ranker is cheap to create and is not safe for
-// concurrent use (give each goroutine its own).
+// NewRanker validates the problem and fills the suffix-count table, the
+// same backward DP Count would run; the Ranker is read-only afterwards.
 func (p *Problem) NewRanker() *Ranker {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return &Ranker{p: p, memo: make([]map[string]*big.Int, p.NumHoles+1)}
+	r := &Ranker{p: p, memo: make([]map[string]*big.Int, p.NumHoles+1)}
+	r.fill(0, make([]int, len(p.GroupSizes)), r.memo)
+	return r
 }
 
 var rankOne = big.NewInt(1)
@@ -47,16 +52,37 @@ func usedKey(used []int) string {
 }
 
 // suffix returns the number of canonical completions of holes i..n-1 given
-// the used profile. The result aliases the memo table; do not mutate.
+// the used profile. The result aliases the table; do not mutate. Every
+// profile the ranking walks query is reachable from the empty prefix, so
+// the table has it; a profile it lacks is counted into a throwaway table
+// instead, leaving the shared one untouched.
 func (r *Ranker) suffix(i int, used []int) *big.Int {
 	if i == r.p.NumHoles {
 		return rankOne
 	}
-	if r.memo[i] == nil {
-		r.memo[i] = make(map[string]*big.Int)
+	// the string conversion inside the index expression does not allocate
+	var buf [16]byte
+	b := buf[:0]
+	for _, u := range used {
+		b = append(b, byte(u))
+	}
+	if v, ok := r.memo[i][string(b)]; ok {
+		return v
+	}
+	return r.fill(i, used, make([]map[string]*big.Int, r.p.NumHoles+1))
+}
+
+// fill counts the canonical completions of holes i..n-1 under the used
+// profile, memoizing every reachable (hole, profile) state in memo.
+func (r *Ranker) fill(i int, used []int, memo []map[string]*big.Int) *big.Int {
+	if i == r.p.NumHoles {
+		return rankOne
+	}
+	if memo[i] == nil {
+		memo[i] = make(map[string]*big.Int)
 	}
 	k := usedKey(used)
-	if v, ok := r.memo[i][k]; ok {
+	if v, ok := memo[i][k]; ok {
 		return v
 	}
 	total := new(big.Int)
@@ -64,16 +90,16 @@ func (r *Ranker) suffix(i int, used []int) *big.Int {
 	for _, g := range r.p.Allowed[i] {
 		if used[g] > 0 {
 			tmp.SetInt64(int64(used[g]))
-			tmp.Mul(&tmp, r.suffix(i+1, used))
+			tmp.Mul(&tmp, r.fill(i+1, used, memo))
 			total.Add(total, &tmp)
 		}
 		if used[g] < r.p.GroupSizes[g] {
 			used[g]++
-			total.Add(total, r.suffix(i+1, used))
+			total.Add(total, r.fill(i+1, used, memo))
 			used[g]--
 		}
 	}
-	r.memo[i][k] = total
+	memo[i][k] = total
 	return total
 }
 
@@ -223,10 +249,9 @@ func (r *Ranker) EachFrom(offset *big.Int, yield func(fill []VarRef) bool) int {
 		skipping := skip.Sign() > 0
 		for _, g := range p.Allowed[i] {
 			limit := used[g]
-			if skipping {
+			if skipping && limit > 0 {
 				// drop whole old-member subtrees while the offset allows
-				sub := r.suffix(i+1, used)
-				if limit > 0 && sub.Sign() > 0 {
+				if sub := r.suffix(i+1, used); sub.Sign() > 0 {
 					tmp.SetInt64(int64(limit))
 					tmp.Mul(&tmp, sub)
 					if skip.Cmp(&tmp) >= 0 {

@@ -1,8 +1,11 @@
 package partition
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -155,6 +158,74 @@ func TestShardConcatenation(t *testing.T) {
 		// skipping everything yields nothing
 		if n := p.Skip(total, func([]VarRef) bool { return true }); n != 0 {
 			t.Errorf("problem %d: skip(count) yielded %d fills", pi, n)
+		}
+	}
+}
+
+// rankerPass is one goroutine's view of a shared Ranker: every canonical
+// filling's rank and unranked key, and the fillings EachFrom yields from a
+// few offsets, all concatenated so passes compare with one string check.
+func rankerPass(p *Problem, r *Ranker) (string, error) {
+	var b strings.Builder
+	var err error
+	p.EachCanonical(func(fill []VarRef) bool {
+		var rank *big.Int
+		if rank, err = r.Rank(fill); err != nil {
+			return false
+		}
+		var back []VarRef
+		if back, err = r.Unrank(rank); err != nil {
+			return false
+		}
+		fmt.Fprintf(&b, "%s=%s;", rank, FillKey(back))
+		return true
+	})
+	if err != nil {
+		return "", err
+	}
+	total := r.Count()
+	for _, off := range []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Rsh(total, 1)} {
+		b.WriteString("|")
+		n := 0
+		r.EachFrom(off, func(fill []VarRef) bool {
+			b.WriteString(FillKey(fill))
+			n++
+			return n < 5
+		})
+	}
+	return b.String(), nil
+}
+
+// TestRankerConcurrentUse shares one Ranker per problem across goroutines
+// (run under -race in CI): its table is filled at construction, so Rank,
+// Unrank and EachFrom only read it, and every goroutine must see exactly
+// what a single-goroutine pass sees.
+func TestRankerConcurrentUse(t *testing.T) {
+	const goroutines = 8
+	for pi, p := range rankProblems(t) {
+		want, err := rankerPass(p, p.NewRanker())
+		if err != nil {
+			t.Fatalf("problem %d: %v", pi, err)
+		}
+		shared := p.NewRanker()
+		got := make([]string, goroutines)
+		errs := make([]error, goroutines)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				got[g], errs[g] = rankerPass(p, shared)
+			}(g)
+		}
+		wg.Wait()
+		for g := range got {
+			if errs[g] != nil {
+				t.Fatalf("problem %d goroutine %d: %v", pi, g, errs[g])
+			}
+			if got[g] != want {
+				t.Fatalf("problem %d goroutine %d: shared ranker diverges from a single-goroutine pass", pi, g)
+			}
 		}
 	}
 }

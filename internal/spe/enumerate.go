@@ -77,6 +77,24 @@ func Count(sk *skeleton.Skeleton, opts Options) *big.Int {
 	return total
 }
 
+// CanonicalCounts counts the skeleton's canonical enumeration with one
+// forward DP per problem: the total, and under intra granularity the
+// per-function counts whose product it is — the mixed-radix digits of a
+// Space's index (first function most significant) and the input of
+// RegionCuts. perFunc is nil under inter granularity.
+func CanonicalCounts(sk *skeleton.Skeleton, gran Granularity) (total *big.Int, perFunc []*big.Int) {
+	if gran == Inter {
+		return sk.Problem().CanonicalCount(), nil
+	}
+	total = big.NewInt(1)
+	for _, fp := range sk.FuncProblems() {
+		c := fp.Problem.CanonicalCount()
+		perFunc = append(perFunc, c)
+		total.Mul(total, c)
+	}
+	return total, perFunc
+}
+
 func countProblem(p *partition.Problem, mode Mode, fp *skeleton.FuncProblem) *big.Int {
 	switch mode {
 	case ModeNaive:

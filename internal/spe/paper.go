@@ -5,14 +5,16 @@
 // evaluation harness.
 //
 // Concurrency and ownership: a Skeleton and its analyzed program are
-// immutable after Build and may be shared freely. Everything mutable hangs
-// off a Space — ranker memo tables, the delta-unranking cache, the pooled
-// AST instances — and a Space is strictly single-goroutine; concurrent
-// callers go through a Pool, which hands each goroutine a private Space
-// over the shared skeleton. Programs and instances returned by
-// ProgramAt/AcquireAt are exclusively owned until their release function
-// is called; workers may read them, hand them to the backends, and patch
-// them only through Instantiate — never retain them past release.
+// immutable after Build and may be shared freely, and so are a skeleton's
+// counting tables (the rankers' suffix counts, filled at construction).
+// Everything mutable hangs off a Space — the delta-unranking cache and the
+// pooled AST instances — and a Space is strictly single-goroutine;
+// concurrent callers go through a Pool, which hands each goroutine a
+// private Space over the shared skeleton and the shared tables. Programs
+// and instances returned by ProgramAt/AcquireAt are exclusively owned
+// until their release function is called; workers may read them, hand them
+// to the backends, and patch them only through Instantiate — never retain
+// them past release.
 package spe
 
 import (

@@ -27,31 +27,17 @@ import "math/big"
 
 var bigOne = big.NewInt(1)
 
-// FuncCounts returns the per-function canonical filling counts, in
-// source order — the mixed-radix digits of the space (first function
-// most significant). Useful for diagnosing how RegionCuts chose its
-// axis; returns nil under inter-procedural granularity.
-func (s *Space) FuncCounts() []*big.Int {
-	if s.ranker != nil {
-		return nil
-	}
-	out := make([]*big.Int, len(s.counts))
-	for i, c := range s.counts {
-		out[i] = new(big.Int).Set(c)
-	}
-	return out
-}
-
-// RegionCuts returns the sorted tested-space start positions of the
-// plan's scheduling regions; starts[0] is always 0 and a single-element
+// RegionCuts returns the sorted tested-space start positions of a plan's
+// scheduling regions, given the per-function canonical counts
+// (CanonicalCounts' perFunc). starts[0] is always 0 and a single-element
 // result means the file is one opaque region (inter-procedural
-// granularity, a single varying function, or a walk too short to cut).
-// The result is a pure function of the skeleton's counts, stride, and
-// tested — every engine (in-process, remote, worker-side planner)
-// derives identical cuts.
-func (s *Space) RegionCuts(stride, tested int64, maxRegions int) []int64 {
+// granularity, i.e. nil counts, a single varying function, or a walk too
+// short to cut). The result is a pure function of the counts, stride, and
+// tested — every engine (in-process, remote, worker-side planner) derives
+// identical cuts.
+func RegionCuts(counts []*big.Int, stride, tested int64, maxRegions int) []int64 {
 	single := []int64{0}
-	if tested <= 1 || maxRegions <= 1 || stride <= 0 || s.ranker != nil || len(s.fps) == 0 {
+	if tested <= 1 || maxRegions <= 1 || stride <= 0 || len(counts) == 0 {
 		return single
 	}
 	maxIdx := (tested - 1) * stride
@@ -61,15 +47,15 @@ func (s *Space) RegionCuts(stride, tested int64, maxRegions int) []int64 {
 	axis := -1
 	var axisSuffix int64 = 1
 	suffix := big.NewInt(1)
-	for i := len(s.fps) - 1; i >= 0; i-- {
+	for i := len(counts) - 1; i >= 0; i-- {
 		if suffix.Cmp(maxBig) > 0 {
 			break
 		}
-		if s.counts[i].Cmp(bigOne) > 0 {
+		if counts[i].Cmp(bigOne) > 0 {
 			axis = i
 			axisSuffix = suffix.Int64()
 		}
-		suffix.Mul(suffix, s.counts[i])
+		suffix.Mul(suffix, counts[i])
 	}
 	if axis < 0 {
 		return single

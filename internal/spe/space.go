@@ -26,23 +26,16 @@ import (
 // underlying incremental unranking (per-function rank digits are cached, so
 // stride-neighbor indices only unrank the functions whose digit moved).
 //
-// Concurrency contract: a Space owns mutable state — ranker memo tables,
-// the delta-unranking cache, and its instance free list — and is strictly
-// single-goroutine. Concurrent callers go through a Pool, which hands each
-// goroutine a private Space over the shared (immutable) skeleton; sharing
-// one Space across goroutines without a Pool is a data race, enforced by
-// the race-detector tests over the campaign hot path.
+// Concurrency contract: a Space owns mutable state — the delta-unranking
+// cache and its instance free list — and is strictly single-goroutine. Its
+// counting tables (the per-function rankers and counts) are read-only and
+// may be shared: a Pool builds them once per skeleton and hands each
+// goroutine a private Space over them. Sharing one Space across goroutines
+// is a data race, enforced by the race-detector tests over the campaign
+// hot path.
 type Space struct {
-	sk   *skeleton.Skeleton
-	opts Options
-	// intra granularity
-	fps     []*skeleton.FuncProblem
-	rankers []*partition.Ranker
-	counts  []*big.Int
-	// inter granularity
-	ranker *partition.Ranker
-
-	total *big.Int
+	sk *skeleton.Skeleton
+	*tables
 
 	// delta-unranking cache: the per-function rank digits and whole-skeleton
 	// filling of the last FillDeltaAt call. prevBuf and changed are reused
@@ -62,30 +55,57 @@ type Space struct {
 	CheckedRebind bool
 }
 
-// NewSpace builds the random-access view. Only ModeCanonical is supported:
-// the naive sequence needs no ranker (it is a plain mixed-radix product)
-// and ModePaper is count-only.
-func NewSpace(sk *skeleton.Skeleton, opts Options) (*Space, error) {
-	if opts.Mode != ModeCanonical {
-		return nil, fmt.Errorf("spe: Space requires ModeCanonical, got %v", opts.Mode)
-	}
-	s := &Space{sk: sk, opts: opts}
-	switch opts.Granularity {
+// tables is a skeleton's counting state for random access: the rankers'
+// suffix-count tables and the per-function counts that are the digits of
+// the mixed-radix index. It is immutable once built, so any number of
+// Spaces may read one concurrently.
+type tables struct {
+	// intra granularity
+	fps     []*skeleton.FuncProblem
+	rankers []*partition.Ranker
+	counts  []*big.Int
+	// inter granularity
+	ranker *partition.Ranker
+
+	total *big.Int
+}
+
+func newTables(sk *skeleton.Skeleton, gran Granularity) *tables {
+	t := &tables{}
+	switch gran {
 	case Inter:
-		s.ranker = sk.Problem().NewRanker()
-		s.total = s.ranker.Count()
+		t.ranker = sk.Problem().NewRanker()
+		t.total = t.ranker.Count()
 	default:
-		s.fps = sk.FuncProblems()
-		s.total = big.NewInt(1)
-		for _, fp := range s.fps {
+		t.fps = sk.FuncProblems()
+		t.total = big.NewInt(1)
+		for _, fp := range t.fps {
 			r := fp.Problem.NewRanker()
-			s.rankers = append(s.rankers, r)
+			t.rankers = append(t.rankers, r)
 			c := r.Count()
-			s.counts = append(s.counts, c)
-			s.total.Mul(s.total, c)
+			t.counts = append(t.counts, c)
+			t.total.Mul(t.total, c)
 		}
 	}
-	return s, nil
+	return t
+}
+
+// checkOptions rejects the modes a Space cannot serve. Only ModeCanonical
+// is supported: the naive sequence needs no ranker (it is a plain
+// mixed-radix product) and ModePaper is count-only.
+func checkOptions(opts Options) error {
+	if opts.Mode != ModeCanonical {
+		return fmt.Errorf("spe: Space requires ModeCanonical, got %v", opts.Mode)
+	}
+	return nil
+}
+
+// NewSpace builds the random-access view over its own counting tables.
+func NewSpace(sk *skeleton.Skeleton, opts Options) (*Space, error) {
+	if err := checkOptions(opts); err != nil {
+		return nil, err
+	}
+	return &Space{sk: sk, tables: newTables(sk, opts.Granularity)}, nil
 }
 
 // Total returns the number of fillings in the sequence (the skeleton's
@@ -256,54 +276,89 @@ func (s *Space) AcquireAt(idx *big.Int) (*skeleton.Instance, func(), error) {
 // Pool shares one skeleton's enumeration across goroutines by handing each
 // caller a private Space. It is the enforced concurrency API over Space:
 // Get/Put are safe from any goroutine, while everything on the Space itself
-// remains single-goroutine between a Get and its Put. Pooled Spaces retain
-// their ranker memo tables and template instances across uses, so shard
-// workers draining one file amortize those allocations instead of
-// rebuilding them per shard.
+// remains single-goroutine between a Get and its Put.
+//
+// The pool builds the skeleton's counting tables once, on the first Get,
+// and every Space it hands out reads those same tables; a Space keeps only
+// its delta-unranking cache and its template instances private. Put parks
+// a Space for reuse, so shard workers draining one file amortize the
+// instances too. Release drops the tables and the parked Spaces once the
+// caller knows no Get is coming soon; a later Get rebuilds them.
 type Pool struct {
 	sk   *skeleton.Skeleton
-	opts Options
-	pool sync.Pool
+	gran Granularity
 	// CheckedRebind is propagated to every Space the pool hands out.
 	CheckedRebind bool
-	// hits/misses count Gets served by a recycled Space versus a fresh
-	// build — telemetry the campaign's /metrics surface sums at scrape
-	// time (see Stats). One atomic add per Get, i.e. per shard task.
-	hits, misses atomic.Int64
+
+	mu   sync.Mutex
+	tab  *tables
+	free []*Space
+	// hits/misses count Gets served by a parked Space versus a fresh one,
+	// builds the table constructions — telemetry the campaign's /metrics
+	// surface sums at scrape time (see Stats). One atomic add per Get, i.e.
+	// per shard task.
+	hits, misses, builds atomic.Int64
 }
 
-// Stats reports how many Gets were served by a recycled Space (hits)
-// versus building a fresh one (misses). Purely observational.
-func (p *Pool) Stats() (hits, misses int64) { return p.hits.Load(), p.misses.Load() }
+// Stats reports how many Gets were served by a parked Space (hits) versus
+// allocating a fresh Space over the shared tables (misses), and how many
+// times the tables were built. Purely observational.
+func (p *Pool) Stats() (hits, misses, builds int64) {
+	return p.hits.Load(), p.misses.Load(), p.builds.Load()
+}
 
-// NewPool validates the options once (by building a probe Space) and
-// returns the pool. The probe is kept for the first Get.
+// NewPool validates the options and returns the pool. Nothing is counted
+// until the first Get.
 func NewPool(sk *skeleton.Skeleton, opts Options) (*Pool, error) {
-	probe, err := NewSpace(sk, opts)
-	if err != nil {
+	if err := checkOptions(opts); err != nil {
 		return nil, err
 	}
-	p := &Pool{sk: sk, opts: opts}
-	p.pool.Put(probe)
-	return p, nil
+	return &Pool{sk: sk, gran: opts.Granularity}, nil
 }
 
-// Get hands out a Space for exclusive use by the calling goroutine.
+// Get hands out a Space for exclusive use by the calling goroutine,
+// building the shared tables first if none are held. Concurrent first Gets
+// wait for one build.
 func (p *Pool) Get() *Space {
-	if s, ok := p.pool.Get().(*Space); ok && s != nil {
-		p.hits.Add(1)
-		s.CheckedRebind = p.CheckedRebind
-		return s
+	p.mu.Lock()
+	if p.tab == nil {
+		p.tab = newTables(p.sk, p.gran)
+		p.builds.Add(1)
 	}
-	// construction cannot fail here: NewPool validated the options
-	p.misses.Add(1)
-	s, err := NewSpace(p.sk, p.opts)
-	if err != nil {
-		panic(fmt.Sprintf("spe: pool: %v", err))
+	tab := p.tab
+	var s *Space
+	if n := len(p.free); n > 0 {
+		s = p.free[n-1]
+		p.free = p.free[:n-1]
+	}
+	p.mu.Unlock()
+	if s != nil {
+		p.hits.Add(1)
+	} else {
+		p.misses.Add(1)
+		s = &Space{sk: p.sk, tables: tab}
 	}
 	s.CheckedRebind = p.CheckedRebind
 	return s
 }
 
 // Put returns a Space obtained from Get. The Space must not be used after.
-func (p *Pool) Put(s *Space) { p.pool.Put(s) }
+// A Space handed out before a Release is dropped rather than parked, so it
+// cannot pin the released tables.
+func (p *Pool) Put(s *Space) {
+	p.mu.Lock()
+	if s.tables == p.tab {
+		p.free = append(p.free, s)
+	}
+	p.mu.Unlock()
+}
+
+// Release drops the shared tables and every parked Space. Spaces still
+// checked out keep working on the tables they hold; the next Get builds
+// fresh ones.
+func (p *Pool) Release() {
+	p.mu.Lock()
+	p.tab = nil
+	p.free = nil
+	p.mu.Unlock()
+}
