@@ -136,7 +136,6 @@ func TestLazyRenderOnlyForSymptomaticVariants(t *testing.T) {
 	}
 	sawSymptomless := false
 	for _, tk := range all {
-		tk.plan.begin()
 		r := runTask(context.Background(), cfg, tk)
 		if r.err != nil {
 			t.Fatal(r.err)

@@ -65,6 +65,11 @@ func runEngine(ctx context.Context, cfg Config, st *aggState) (*Report, error) {
 	}
 	planTime := time.Since(planStart)
 	sched := newScheduler(cfg, all, st.nextSeq, st.steer)
+	for _, t := range all {
+		if t.seq >= st.nextSeq {
+			t.plan.remaining.Add(1) // the file's tasks this run will execute
+		}
+	}
 	tel := cfg.Telemetry
 	tel.campaignStarted(cfg, all, st.nextSeq, planTime)
 	tel.attachRegions(cfg, sched)
@@ -106,7 +111,6 @@ func runEngine(ctx context.Context, cfg Config, st *aggState) (*Report, error) {
 			if !ok {
 				return // everything dispatched; the spare credit is moot
 			}
-			t.plan.begin()
 			batch := []*task{t}
 			if target := sched.targetNs(); target > 0 {
 				spent := sched.predictNs(t)
@@ -122,7 +126,6 @@ func runEngine(ctx context.Context, cfg Config, st *aggState) (*Report, error) {
 						spent = target // drained; the spare credit is moot
 						continue
 					}
-					t2.plan.begin()
 					batch = append(batch, t2)
 					spent += sched.predictNs(t2)
 				}
@@ -131,9 +134,6 @@ func runEngine(ctx context.Context, cfg Config, st *aggState) (*Report, error) {
 			select {
 			case batches <- batch:
 			case <-ctx.Done():
-				for _, t := range batch {
-					t.plan.end()
-				}
 				return
 			}
 		}
@@ -148,11 +148,12 @@ func runEngine(ctx context.Context, cfg Config, st *aggState) (*Report, error) {
 			for batch := range batches {
 				for _, t := range batch {
 					if ctx.Err() != nil {
-						t.plan.end()
 						continue // drain
 					}
+					r := runTask(ctx, cfg, t)
+					t.plan.taskDone()
 					select {
-					case results <- runTask(ctx, cfg, t):
+					case results <- r:
 					case <-ctx.Done():
 					}
 				}
@@ -215,6 +216,13 @@ func runEngine(ctx context.Context, cfg Config, st *aggState) (*Report, error) {
 		}
 		tel.observeAggregator(len(pending))
 	}
+	// every worker has exited; a canceled or failed run leaves tasks that
+	// never finished, so drop whatever tables their files still hold
+	for _, t := range all {
+		if t.newFile {
+			t.plan.release()
+		}
+	}
 	tel.campaignDone()
 	// context-driven shutdown persists the merged prefix: a SIGINT (or any
 	// cancellation) should leave the latest state on disk instead of
@@ -263,12 +271,7 @@ func runEngine(ctx context.Context, cfg Config, st *aggState) (*Report, error) {
 // variant, and minicc compiles through the file's IR-template cache (lower
 // once per skeleton, patch the hole-dependent IR sites per fill). With
 // Config.NoBackendReuse both backends run cold, byte-identically.
-//
-// The caller marks the task dispatched with t.plan.begin(); runTask ends
-// it on return, which releases the file's counting tables once none of its
-// tasks is in flight.
 func runTask(ctx context.Context, cfg Config, t *task) *taskResult {
-	defer t.plan.end()
 	res := &taskResult{seq: t.seq, plan: t.plan, newFile: t.newFile, region: t.region}
 	if t.plan.skip {
 		return res

@@ -94,11 +94,11 @@ type filePlan struct {
 	// delta-unranking cache) over the file's shared counting tables and
 	// returns it when its shard completes.
 	pool *spe.Pool
-	// inflight counts the file's tasks dispatched and not yet finished in
-	// this process (see begin/end); the pool's tables are released
-	// whenever it drops to zero, so memory stays bounded by the files in
-	// flight.
-	inflight atomic.Int32
+	// remaining counts the file's tasks this process has yet to finish
+	// (runEngine sets it before dispatch); the last one to finish releases
+	// the pool's tables (see taskDone), so a file builds them once whatever
+	// the schedule, and holds them only until its walk is done.
+	remaining atomic.Int32
 	// backends pools the per-worker execution backends the same way (nil
 	// when Config.NoBackendReuse disables reuse).
 	backends *backendPool
@@ -116,14 +116,18 @@ type filePlan struct {
 // very large multi-function files.
 const maxRegionsPerFile = 16
 
-// begin marks one of the file's tasks dispatched in this process; end,
-// called once the task has run (or been abandoned), undoes it. The last
-// end releases the pool's shared tables: a Get that raced ahead of the
-// release still holds its own reference, and a later Get rebuilds them.
-func (p *filePlan) begin() { p.inflight.Add(1) }
+// taskDone records that one of the file's remaining tasks has run and
+// releases the counting tables after the last.
+func (p *filePlan) taskDone() {
+	if p.remaining.Add(-1) == 0 {
+		p.release()
+	}
+}
 
-func (p *filePlan) end() {
-	if p.inflight.Add(-1) == 0 && p.pool != nil {
+// release drops the pool's shared counting tables; a later Get rebuilds
+// them.
+func (p *filePlan) release() {
+	if p.pool != nil {
 		p.pool.Release()
 	}
 }

@@ -146,10 +146,11 @@ func TestPlansSurviveResumeDerivation(t *testing.T) {
 	}
 }
 
-// TestCampaignReleasesCountTables asserts no file keeps its counting
-// tables once its tasks are done: after Run returns (fifo and region
-// dispatch, one and four workers) and after a Planner has run every task
-// by spec, no pool holds tables, and every walked file built them.
+// TestCampaignReleasesCountTables asserts each walked file builds its
+// counting tables exactly once and does not keep them past its walk. After
+// Run returns (every schedule, one and four workers) no pool holds tables.
+// A Planner running every task by spec, one at a time, builds each file's
+// tables once too, and holds at most the last-run file's afterwards.
 func TestCampaignReleasesCountTables(t *testing.T) {
 	base := Config{
 		Corpus:             corpus.Seeds()[:6],
@@ -157,24 +158,27 @@ func TestCampaignReleasesCountTables(t *testing.T) {
 		MaxVariantsPerFile: 40,
 		ShardSize:          8,
 	}
-	check := func(name string, pools []*spe.Pool) {
+	// check reports each pool that did not build its tables exactly once,
+	// or that holds them when held(i) says it should not (or the reverse);
+	// a pool that released its tables builds them again on the next Get
+	check := func(name string, pools []*spe.Pool, held func(i int) bool) {
 		t.Helper()
 		if len(pools) == 0 {
 			t.Fatalf("%s: no pools to check", name)
 		}
 		for i, p := range pools {
-			_, _, before := p.Stats()
-			if before == 0 {
-				t.Errorf("%s: pool %d never built its tables", name, i)
+			if _, _, builds := p.Stats(); builds != 1 {
+				t.Errorf("%s: pool %d built its tables %d times, want 1", name, i, builds)
 			}
-			// a pool that released its tables builds them again
 			p.Put(p.Get())
-			if _, _, after := p.Stats(); after != before+1 {
-				t.Errorf("%s: pool %d still holds its counting tables", name, i)
+			_, _, after := p.Stats()
+			if holds := after == 1; holds != held(i) {
+				t.Errorf("%s: pool %d holds its counting tables: %v, want %v", name, i, holds, held(i))
 			}
 		}
 	}
-	for _, schedule := range []string{ScheduleFIFO, ScheduleRegion} {
+	none := func(int) bool { return false }
+	for _, schedule := range []string{ScheduleFIFO, ScheduleCoverage, ScheduleRegion} {
 		for _, workers := range []int{1, 4} {
 			cfg := base
 			cfg.Schedule = schedule
@@ -184,7 +188,7 @@ func TestCampaignReleasesCountTables(t *testing.T) {
 			if _, err := Run(cfg); err != nil {
 				t.Fatal(err)
 			}
-			check(fmt.Sprintf("Run schedule=%s workers=%d", schedule, workers), tel.pools)
+			check(fmt.Sprintf("Run schedule=%s workers=%d", schedule, workers), tel.pools, none)
 		}
 	}
 
@@ -201,7 +205,8 @@ func TestCampaignReleasesCountTables(t *testing.T) {
 			pools = append(pools, tk.plan.pool)
 		}
 	}
-	check("Planner.RunSpec", pools)
+	last := pl.bySeq[len(pl.bySeq)-1].plan.pool
+	check("Planner.RunSpec", pools, func(i int) bool { return pools[i] == last })
 }
 
 // BenchmarkPlanCorpus measures planning alone — parse, analyze,

@@ -105,13 +105,21 @@ func (c Config) validate() error {
 // skeletonize, pool — each corpus file once), plus RunSpec to execute any
 // task by its TaskSpec through the exact code path in-process workers use
 // (pooled Spaces and backends, paranoid cross-checks). Planners are safe for concurrent RunSpec calls: per-task
-// mutable state is checked out of the per-file pools. A file's counting
-// tables are built by its first RunSpec and released when no RunSpec of
-// that file is running, so a long-lived worker holds only the tables of
-// the files it is executing.
+// mutable state is checked out of the per-file pools.
+//
+// A worker cannot know which of a file's tasks it will be leased, so a
+// file's counting tables are kept while a RunSpec of the file runs or the
+// file is the one most recently run, and released otherwise. Back-to-back
+// tasks of one file — a one-slot worker draining a fifo lease stream —
+// then build them once, and a long-lived worker holds the tables of at
+// most its running files plus one.
 type Planner struct {
 	cfg   Config
 	bySeq []*task
+
+	mu      sync.Mutex
+	running map[*filePlan]int // RunSpec calls in progress, per file
+	last    *filePlan         // the file of the most recent RunSpec
 }
 
 // NewPlanner derives the plan a coordinator with the same Config derives.
@@ -126,7 +134,7 @@ func NewPlanner(cfg Config) (*Planner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Planner{cfg: cfg, bySeq: all}, nil
+	return &Planner{cfg: cfg, bySeq: all, running: make(map[*filePlan]int)}, nil
 }
 
 // Config returns the resolved campaign config the plan was derived from.
@@ -148,12 +156,40 @@ func (p *Planner) RunSpec(ctx context.Context, spec TaskSpec) (*ShardResult, err
 	if got := specOf(t); got != spec {
 		return nil, fmt.Errorf("campaign: remote task %d does not match the local plan (coordinator %+v, local %+v): corpus or config drift", spec.Seq, spec, got)
 	}
-	t.plan.begin()
+	p.acquire(t.plan)
 	r := runTask(ctx, p.cfg, t)
+	p.done(t.plan)
 	if r.err != nil {
 		return nil, r.err
 	}
 	return shardResultOf(r), nil
+}
+
+// acquire marks a RunSpec of the file started and makes it the most recent
+// file, releasing the previous one's tables unless it is still running.
+func (p *Planner) acquire(fp *filePlan) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.running[fp]++
+	if prev := p.last; prev != fp {
+		p.last = fp
+		if prev != nil && p.running[prev] == 0 {
+			prev.release()
+		}
+	}
+}
+
+// done marks a RunSpec of the file finished, releasing the file's tables
+// if nothing holds them any more.
+func (p *Planner) done(fp *filePlan) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.running[fp]--; p.running[fp] == 0 {
+		delete(p.running, fp)
+		if fp != p.last {
+			fp.release()
+		}
+	}
 }
 
 // shardResultOf converts a worker-side taskResult to its wire form.

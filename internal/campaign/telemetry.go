@@ -165,7 +165,7 @@ func NewTelemetry() *Telemetry {
 		_, m, _ := t.spacePoolStats()
 		return float64(m)
 	})
-	t.reg.GaugeFunc("spe_space_table_builds", "Per-file counting-table (ranker) builds; a file rebuilds after its tables were released.", func() float64 {
+	t.reg.GaugeFunc("spe_space_table_builds", "Per-file counting-table (ranker) builds: one per walked file in-process; a fabric worker rebuilds a file it returns to after running another.", func() float64 {
 		_, _, b := t.spacePoolStats()
 		return float64(b)
 	})

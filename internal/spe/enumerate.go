@@ -61,6 +61,10 @@ type Options struct {
 // the other modes quotient declaration arrangements away entirely, so only
 // the naive count carries the skeleton's DeclHoleFactor.
 func Count(sk *skeleton.Skeleton, opts Options) *big.Int {
+	if opts.Mode == ModeCanonical {
+		total, _ := CanonicalCounts(sk, opts.Granularity)
+		return total
+	}
 	var total *big.Int
 	switch opts.Granularity {
 	case Inter:
@@ -95,15 +99,13 @@ func CanonicalCounts(sk *skeleton.Skeleton, gran Granularity) (total *big.Int, p
 	return total, perFunc
 }
 
+// countProblem counts one problem in the non-canonical modes; canonical
+// counting goes through CanonicalCounts.
 func countProblem(p *partition.Problem, mode Mode, fp *skeleton.FuncProblem) *big.Int {
-	switch mode {
-	case ModeNaive:
+	if mode == ModeNaive {
 		return p.NaiveCount()
-	case ModePaper:
-		return TwoLevelFromProblem(p).PaperCount()
-	default:
-		return p.CanonicalCount()
 	}
+	return TwoLevelFromProblem(p).PaperCount()
 }
 
 // ExceedsThreshold reports whether the skeleton's variant count exceeds the
